@@ -6,7 +6,8 @@
      reoptdb explain 6d --analyze       execute too: actual rows, Q-error,
                                         adaptive switches, re-opt trigger
      reoptdb run 6d [--reopt 32]        execute, optionally with re-optimization
-     reoptdb experiment fig2 [...]      regenerate a table/figure of the paper
+     reoptdb experiment fig2 [...]      regenerate tables/figures of the paper
+                                        (all, or micro for micro-benchmarks)
      reoptdb lint [--scale 0.1]         lint every workload query and plan
      reoptdb verify [--scale 0.1]       prove every re-opt rewrite equivalent
                                         and every plan within sound bounds
@@ -126,18 +127,65 @@ let feedback_store_save fb = function
     Printf.eprintf "feedback store saved to %s (%d entries)\n%!" path
       (Rdb_core.Feedback.size fb)
 
+(* Every --json report: one document and a newline. The channel is closed
+   on every path out, raising or not. *)
+let write_json ~what path doc =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (Rdb_obs.Json.to_string doc);
+      output_char oc '\n';
+      close_out oc);
+  Printf.eprintf "%s written to %s\n%!" what path
+
+(* The sweep reporter of lint and resources. [report ctx findings]
+   collects; [print ()] prints each finding once, sorted by severity, then
+   context, then text, so CI output diffs cleanly across runs, and returns
+   the (errors, warnings) counts. Several hooks and configurations see the
+   same artifact, so a finding is keyed by its context up to the first
+   space (the query, not its config label) and printed under the first
+   context that produced it. *)
+let sweep_reporter () =
+  let module Finding = Rdb_analysis.Finding in
+  let collected = ref [] in
+  let report ctx findings =
+    List.iter (fun f -> collected := (ctx, f) :: !collected) findings
+  in
+  let print () =
+    let seen = Hashtbl.create 256 in
+    let fresh (ctx, f) =
+      let base =
+        match String.index_opt ctx ' ' with
+        | Some i -> String.sub ctx 0 i
+        | None -> ctx
+      in
+      let key = (base, Finding.to_string f) in
+      if Hashtbl.mem seen key then false
+      else (Hashtbl.add seen key (); true)
+    in
+    let order (ctx, (f : Finding.t)) =
+      (Finding.rank f.Finding.severity, ctx, Finding.to_string f)
+    in
+    let sorted =
+      List.filter fresh (List.rev !collected)
+      |> List.stable_sort (fun a b -> compare (order a) (order b))
+    in
+    List.iter
+      (fun (ctx, f) -> Printf.printf "%s: %s\n" ctx (Finding.to_string f))
+      sorted;
+    let count sev =
+      List.length (List.filter (fun (_, f) -> f.Finding.severity = sev) sorted)
+    in
+    (count Finding.Error, count Finding.Warning)
+  in
+  (report, print)
+
 (* ---- queries ---- *)
 
 let cmd_queries =
   let run () =
-    List.iter
-      (fun (name, sql) ->
-        let tables =
-          String.split_on_char ',' sql |> List.length
-        in
-        ignore tables;
-        Printf.printf "%s\n" name)
-      Rdb_imdb.Job_queries.sql;
+    List.iter (fun (name, _) -> print_endline name) Rdb_imdb.Job_queries.sql;
     0
   in
   Cmd.v (Cmd.info "queries" ~doc:"List the 113 workload queries.")
@@ -304,59 +352,177 @@ let cmd_run =
 
 (* ---- experiment ---- *)
 
+(* bechamel micro-benchmarks of the engine's operators: [experiment micro] *)
+
+let micro_tests () =
+  let open Bechamel in
+  let catalog = Rdb_imdb.Imdb_gen.generate ~scale:0.1 () in
+  let session = Rdb_core.Session.create catalog in
+  Rdb_core.Session.analyze session;
+  let plan_of name mode =
+    let q = Rdb_imdb.Job_queries.find catalog name in
+    let prepared = Rdb_core.Session.prepare session q in
+    let plan, _, _ = Rdb_core.Session.plan prepared ~mode in
+    (q, prepared, plan)
+  in
+  let q6d, prep6d, plan6d = plan_of "6d" Rdb_card.Estimator.Default in
+  let _q33, prep33, _ = plan_of "33a" Rdb_card.Estimator.Default in
+  let graph33 =
+    Rdb_query.Join_graph.make (Rdb_core.Session.query prep33)
+  in
+  let title = Catalog.table_exn catalog "title" in
+  let years =
+    match Table.column title 3 with
+    | Column.Ints a -> a
+    | Column.Strs _ -> assert false
+  in
+  let exec_plan prepared plan () =
+    ignore (Rdb_core.Session.execute prepared plan)
+  in
+  [
+    Test.make ~name:"exec/q6d-default-plan"
+      (Staged.stage (exec_plan prep6d plan6d));
+    Test.make ~name:"optimizer/dpccp-17rel"
+      (Staged.stage (fun () ->
+           ignore (Rdb_plan.Search_space.build graph33)));
+    Test.make ~name:"optimizer/plan-q33a"
+      (Staged.stage (fun () ->
+           ignore
+             (Rdb_core.Session.plan prep33 ~mode:Rdb_card.Estimator.Default)));
+    Test.make ~name:"oracle/tree-card-q6d-full"
+      (Staged.stage (fun () ->
+           let oracle =
+             Rdb_card.Oracle.create catalog q6d
+           in
+           ignore
+             (Rdb_card.Oracle.true_card oracle
+                (Rdb_util.Relset.full (Rdb_query.Query.n_rels q6d)))));
+    Test.make ~name:"stats/analyze-title"
+      (Staged.stage (fun () -> ignore (Rdb_stats.Analyze.table title)));
+    Test.make ~name:"stats/histogram-years"
+      (Staged.stage (fun () ->
+           ignore (Rdb_stats.Histogram.build ~buckets:100 years)));
+    Test.make ~name:"storage/hash-index-title-id"
+      (Staged.stage (fun () -> ignore (Hash_index.build title ~col:0)));
+    Test.make ~name:"reopt/full-loop-q6d"
+      (Staged.stage (fun () ->
+           ignore
+             (Rdb_core.Reopt.run session
+                ~trigger:(Rdb_core.Trigger.create 32.0)
+                ~mode:Rdb_card.Estimator.Default q6d)));
+  ]
+
+let run_micro () =
+  let open Bechamel in
+  print_endline "= micro-benchmarks (bechamel, ns/run via OLS) =";
+  let tests = Test.make_grouped ~name:"micro" (micro_tests ()) in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
+  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let rows = ref [] in
+  Hashtbl.iter
+    (fun name ols ->
+      let ns =
+        match Analyze.OLS.estimates ols with
+        | Some (e :: _) -> e
+        | Some [] | None -> nan
+      in
+      rows := (name, ns) :: !rows)
+    results;
+  List.iter
+    (fun (name, ns) ->
+      if ns >= 1_000_000.0 then
+        Printf.printf "  %-40s %12.3f ms/run\n" name (ns /. 1_000_000.0)
+      else Printf.printf "  %-40s %12.0f ns/run\n" name ns)
+    (List.sort compare !rows)
+
 let cmd_experiment =
-  let exp_pos =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
-           ~doc:(Printf.sprintf "One of: %s."
-                   (String.concat ", " Rdb_harness.Experiments.names)))
+  let module Experiments = Rdb_harness.Experiments in
+  let module Metrics = Rdb_obs.Metrics in
+  let module J = Rdb_obs.Json in
+  let names_pos =
+    let names = "all" :: "micro" :: Experiments.names in
+    Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+         & info [] ~docv:"EXPERIMENT"
+             ~doc:(Printf.sprintf
+                     "Experiments to run, in order: %s; 'micro' runs the \
+                      bechamel micro-benchmarks, 'all' (the default) every \
+                      experiment and then micro."
+                     (String.concat ", " Experiments.names)))
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Shard the experiment's (config, query) grid across N \
+           ~doc:"Shard the experiments' (config, query) grids across N \
                  domains (0 = one per core). Deterministic measurements \
                  are identical to a sequential run.")
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Also dump the engine's metrics registry (plans built, DP \
-                 pairs, re-opt steps, work units, adaptive switches, …) \
-                 for this experiment as JSON to PATH.")
+           ~doc:"Also write the metrics report — per-experiment engine \
+                 counters (plans built, DP pairs, re-opt steps, work units, \
+                 adaptive switches, …) plus run totals, comparable across \
+                 commits — as JSON to PATH.")
   in
-  let run name scale seed jobs json_path =
+  let run names scale seed jobs json_path =
     let jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
-    let lab = Rdb_harness.Runner.create_lab ~seed ~scale () in
-    (try
-       let before = Rdb_obs.Metrics.snapshot () in
-       print_endline (Rdb_harness.Experiments.run ~jobs lab name);
-       (match json_path with
-        | None -> ()
-        | Some path ->
-          let after = Rdb_obs.Metrics.snapshot () in
-          let module J = Rdb_obs.Json in
-          let counters =
-            List.map
-              (fun (k, v) -> (k, J.Int v))
-              (Rdb_obs.Metrics.diff_counters ~after ~before)
-          in
-          let doc =
-            J.Obj
-              [ ("experiment", J.Str name);
-                ("scale", J.Float scale);
-                ("seed", J.Int seed);
-                ("jobs", J.Int jobs);
-                ("metrics", J.Obj counters);
-                ("totals", Rdb_obs.Metrics.to_json after) ]
-          in
-          let oc = open_out path in
-          output_string oc (J.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "metrics written to %s\n%!" path);
-       0
-     with Invalid_argument e -> prerr_endline e; 1)
+    let names =
+      List.concat_map
+        (function "all" -> Experiments.names @ [ "micro" ] | n -> [ n ])
+        (if names = [] then [ "all" ] else names)
+    in
+    let lab =
+      lazy
+        (Printf.printf "building lab: scale=%g seed=%d jobs=%d ...\n%!" scale
+           seed jobs;
+         let t0 = Unix.gettimeofday () in
+         let lab = Rdb_harness.Runner.create_lab ~seed ~scale () in
+         Printf.printf "lab ready in %.1fs (113 queries bound)\n\n%!"
+           (Unix.gettimeofday () -. t0);
+         lab)
+    in
+    let experiment name =
+      let t0 = Unix.gettimeofday () in
+      let before = Metrics.snapshot () in
+      (match name with
+       | "micro" -> run_micro ()
+       | "table3" -> print_endline (Experiments.table3 ())
+       | "skew" -> print_endline (Experiments.skew_example ())
+       | name -> print_endline (Experiments.run ~jobs (Lazy.force lab) name));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let deltas =
+        Metrics.diff_counters ~after:(Metrics.snapshot ()) ~before
+      in
+      Printf.printf "[%s done in %.1fs]\n\n%!" name elapsed;
+      J.Obj
+        [ ("name", J.Str name);
+          ("elapsed_s", J.Float elapsed);
+          ("metrics", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) deltas)) ]
+    in
+    try
+      let reports = List.map experiment names in
+      Option.iter
+        (fun path ->
+          write_json ~what:"metrics report" path
+            (J.Obj
+               [ ( "meta",
+                   J.Obj
+                     [ ("scale", J.Float scale);
+                       ("seed", J.Int seed);
+                       ("jobs", J.Int jobs) ] );
+                 ("experiments", J.List reports);
+                 ("totals", Metrics.to_json (Metrics.snapshot ())) ]))
+        json_path;
+      0
+    with Invalid_argument e -> prerr_endline e; 1
   in
-  Cmd.v (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables/figures.")
-    Term.(const run $ exp_pos $ scale_arg $ seed_arg $ jobs_arg $ json_arg)
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:"Regenerate the paper's tables/figures (see DESIGN.md for the \
+             index) and the engine's micro-benchmarks.")
+    Term.(const run $ names_pos $ scale_arg $ seed_arg $ jobs_arg $ json_arg)
 
 (* ---- lint ---- *)
 
@@ -380,23 +546,18 @@ let cmd_lint =
   in
   let source_arg =
     Arg.(value & flag & info [ "source" ]
-           ~doc:"Also run the source-level concurrency analyzer (racecheck) \
-                 over the repository's lib/ tree and merge its findings, \
-                 with the same dedupe and stable sort.")
+           ~doc:"Also run the source-level concurrency and exception-flow \
+                 analyzers (racecheck, exnflow) over the repository's lib/ \
+                 tree and merge their findings, with the same dedupe and \
+                 stable sort.")
   in
   let run scale seed threshold perfect_n source =
     let catalog, session = make_session ~scale ~seed () in
     let queries = Rdb_imdb.Job_queries.all catalog in
     let n_plans = ref 0 and n_steps = ref 0 and n_capped = ref 0 in
-    (* Findings are collected, deduplicated and sorted before printing:
-       several hooks see the same artifact (Query_lint runs standalone and
-       inside every per-config plan check), and a stable
-       severity-then-query order keeps CI output diffable across runs. *)
-    let collected : (string * Finding.t) list ref = ref [] in
-    let report ctx findings =
-      List.iter (fun (f : Finding.t) -> collected := (ctx, f) :: !collected)
-        findings
-    in
+    (* Query_lint runs standalone and inside every per-config plan check,
+       so the reporter's dedupe folds its repeats. *)
+    let report, print = sweep_reporter () in
     List.iter
       (fun (q : Rdb_query.Query.t) ->
         let name = q.Rdb_query.Query.name in
@@ -474,78 +635,27 @@ let cmd_lint =
          | exception Rdb_analysis.Debug.Lint_failed findings ->
            report (Printf.sprintf "%s [reopt]" name) findings))
       queries;
-    (* Fourth finding source, opt-in: the source-level concurrency
-       analyzer over the repository's own .ml tree. Context is the
-       space-free "file:line" so the shared dedupe key stays per-site. *)
+    (* Fourth finding source, opt-in: the source-level concurrency and
+       exception-flow analyzers over the repository's own .ml tree, one
+       report over one parse. Context is the space-free "file:line" so the
+       dedupe key stays per-site. *)
     let n_source_files = ref 0 in
     if source then begin
-      match Rdb_srclint.Srclint.find_default_root () with
+      let module Srclint = Rdb_srclint.Srclint in
+      match Srclint.find_default_root () with
       | None ->
         report "source"
           [ Finding.warning ~code:"src-no-root"
               "cannot locate the repository's lib/ tree for --source" ]
       | Some root ->
-        let sr = Rdb_srclint.Srclint.analyze_tree ~root () in
-        n_source_files := List.length sr.Rdb_srclint.Srclint.files;
+        let sr = Srclint.analyze_tree Srclint.both ~root in
+        n_source_files := List.length sr.Srclint.files;
         List.iter
-          (fun (i : Rdb_srclint.Srclint.item) ->
+          (fun (i : Srclint.item) ->
             report (Printf.sprintf "%s:%d" i.file i.line) [ i.finding ])
-          sr.Rdb_srclint.Srclint.items;
-        (* Sixth finding source: the exception-flow analyzer over the same
-           tree. Annotation-hygiene findings appear in both reports with
-           identical site and message, so the shared dedupe key folds
-           them. *)
-        let xr = Rdb_srclint.Srclint.analyze_exnflow_tree ~root () in
-        List.iter
-          (fun (i : Rdb_srclint.Srclint.item) ->
-            report (Printf.sprintf "%s:%d" i.file i.line) [ i.finding ])
-          xr.Rdb_srclint.Srclint.xitems
+          sr.Srclint.items
     end;
-    (* Dedupe: the same finding reported for the same query by several
-       hooks/configs (the config label in the context does not make it a
-       different finding) is printed once, under the first context that
-       produced it. *)
-    let seen = Hashtbl.create 256 in
-    let deduped =
-      List.filter
-        (fun (ctx, (f : Finding.t)) ->
-          let base =
-            match String.index_opt ctx ' ' with
-            | Some i -> String.sub ctx 0 i
-            | None -> ctx
-          in
-          let key = (base, Finding.to_string f) in
-          if Hashtbl.mem seen key then false
-          else (Hashtbl.add seen key (); true))
-        (List.rev !collected)
-    in
-    let sev_rank (f : Finding.t) =
-      match f.Finding.severity with
-      | Finding.Error -> 0
-      | Finding.Warning -> 1
-      | Finding.Info -> 2
-    in
-    let sorted =
-      List.stable_sort
-        (fun (c1, f1) (c2, f2) ->
-          match compare (sev_rank f1) (sev_rank f2) with
-          | 0 -> (
-            match compare c1 c2 with
-            | 0 -> compare (Finding.to_string f1) (Finding.to_string f2)
-            | c -> c)
-          | c -> c)
-        deduped
-    in
-    List.iter
-      (fun (ctx, f) -> Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-      sorted;
-    let n_errors =
-      List.length
-        (List.filter (fun (_, f) -> sev_rank f = 0) sorted)
-    and n_warnings =
-      List.length
-        (List.filter (fun (_, f) -> sev_rank f = 1) sorted)
-    in
+    let n_errors, n_warnings = print () in
     Printf.printf
       "lint: %d queries, %d plans, %d rewrite steps%s checked (%d runaway \
        cells capped); %d errors, %d warnings\n"
@@ -606,11 +716,7 @@ let cmd_resources =
     let catalog, session = make_session ~scale ~seed () in
     let queries = Rdb_imdb.Job_queries.all catalog in
     let t0 = Unix.gettimeofday () in
-    let collected : (string * Finding.t) list ref = ref [] in
-    let report ctx findings =
-      List.iter (fun (f : Finding.t) -> collected := (ctx, f) :: !collected)
-        findings
-    in
+    let report, print = sweep_reporter () in
     let n_capped = ref 0 and n_thrash = ref 0 and rows = ref [] in
     (* Tolerance for holding integer executor counters against float
        interval endpoints. *)
@@ -695,42 +801,7 @@ let cmd_resources =
                  ("capped", J.Bool capped) ])
           :: !rows)
       queries;
-    (* Same reporting discipline as lint: dedupe per query, severity-then-
-       query stable order, so CI output diffs cleanly. *)
-    let seen = Hashtbl.create 256 in
-    let deduped =
-      List.filter
-        (fun (ctx, (f : Finding.t)) ->
-          let key = (ctx, Finding.to_string f) in
-          if Hashtbl.mem seen key then false
-          else (Hashtbl.add seen key (); true))
-        (List.rev !collected)
-    in
-    let sev_rank (f : Finding.t) =
-      match f.Finding.severity with
-      | Finding.Error -> 0
-      | Finding.Warning -> 1
-      | Finding.Info -> 2
-    in
-    let sorted =
-      List.stable_sort
-        (fun (c1, f1) (c2, f2) ->
-          match compare (sev_rank f1) (sev_rank f2) with
-          | 0 -> (
-            match compare c1 c2 with
-            | 0 -> compare (Finding.to_string f1) (Finding.to_string f2)
-            | c -> c)
-          | c -> c)
-        deduped
-    in
-    List.iter
-      (fun (ctx, f) -> Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-      sorted;
-    let n_errors =
-      List.length (List.filter (fun (_, f) -> sev_rank f = 0) sorted)
-    and n_warnings =
-      List.length (List.filter (fun (_, f) -> sev_rank f = 1) sorted)
-    in
+    let n_errors, n_warnings = print () in
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Printf.printf
       "resources: %d queries certified and executed (%d capped, %d \
@@ -752,11 +823,7 @@ let cmd_resources =
              ("warnings", J.Int n_warnings);
              ("queries", J.List (List.rev !rows)) ]
        in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "resources report written to %s\n%!" path);
+       write_json ~what:"resources report" path doc);
     if n_errors > 0 then 1 else 0
   in
   Cmd.v
@@ -1125,11 +1192,7 @@ let cmd_fragility =
              ("thresholds", J.List (List.map (fun t -> J.Float t) thresholds));
              ("queries", J.List query_docs) ]
        in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "fragility report written to %s\n%!" path);
+       write_json ~what:"fragility report" path doc);
     if !n_finding_errors > 0 then begin
       Printf.printf "fragility: %d error findings\n" !n_finding_errors;
       1
@@ -1317,11 +1380,7 @@ let cmd_feedback =
                           ("perfect", measurement_doc row.FS.fs_perfect) ])
                     r.FS.fr_rows) ) ]
        in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "feedback report written to %s\n%!" path);
+       write_json ~what:"feedback report" path doc);
     if pairs_ok && lookups_ok && gated_ok && naive_hurts then 0 else 1
   in
   Cmd.v
@@ -1591,11 +1650,7 @@ let cmd_bench_serve =
                    ("writebacks", J.Int (dc "cache.writebacks")) ] );
              ("totals", Metrics.to_json after) ]
        in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "bench-serve report written to %s\n%!" path);
+       write_json ~what:"bench-serve report" path doc);
     if hit_rate < 0.9 && requests >= 100 then begin
       Printf.eprintf
         "bench-serve: warmed hit rate %.1f%% below the 90%% bar\n%!"
@@ -1617,149 +1672,99 @@ let cmd_bench_serve =
           $ serve_reopt_arg $ revalidate_arg $ requests_arg $ clients_arg
           $ variants_arg $ json_arg)
 
-(* ---- json-check ---- *)
+(* ---- racecheck / exnflow ---- *)
 
-(* ---- racecheck ---- *)
+(* One source analyzer as a subcommand: analyze the --root trees (default:
+   the repository's lib/), print the report, optionally write its JSON.
+   Exits 2 when there is nothing to analyze, else 0 clean / 1 errors. *)
+let source_cmd name ~doc ~json_doc ~no_registry_doc analyzer render to_json =
+  let module Srclint = Rdb_srclint.Srclint in
+  let roots_arg =
+    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
+           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
+                 Default: the repository's lib/ directory, located by \
+                 walking up from the current directory.")
+  in
+  let json_arg =
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
+           ~doc:json_doc)
+  in
+  let no_registry_arg =
+    Arg.(value & flag & info [ "no-registry" ] ~doc:no_registry_doc)
+  in
+  let run roots json_path no_registry =
+    let roots =
+      if roots <> [] then roots
+      else Option.to_list (Srclint.find_default_root ())
+    in
+    let files = List.concat_map Srclint.ml_files_under roots in
+    if roots = [] then begin
+      Printf.eprintf "%s: cannot locate the repository's lib/ (pass --root)\n"
+        name;
+      2
+    end
+    else if files = [] then begin
+      Printf.eprintf "%s: no .ml files under %s\n" name
+        (String.concat ", " roots);
+      2
+    end
+    else begin
+      let report = Srclint.analyze_files (analyzer no_registry) files in
+      print_string (render report);
+      Option.iter
+        (fun path -> write_json ~what:(name ^ " report") path (to_json report))
+        json_path;
+      Srclint.exit_code report
+    end
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
 
 let cmd_racecheck =
   let module Srclint = Rdb_srclint.Srclint in
-  let roots_arg =
-    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
-           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
-                 Default: the repository's lib/ directory, located by \
-                 walking up from the current directory.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full report (locks, lock-order edges, findings) \
-                 as JSON to PATH.")
-  in
-  let no_registry_arg =
-    Arg.(value & flag & info [ "no-registry" ]
-           ~doc:"Skip the checked registry of the serving stack's known \
-                 shared state (for analyzing trees other than this \
-                 repository's lib/).")
-  in
-  let run roots json_path no_registry =
-    let roots =
-      match roots with
-      | [] -> (
-        match Srclint.find_default_root () with Some r -> [ r ] | None -> [])
-      | rs -> rs
-    in
-    if roots = [] then begin
-      Printf.eprintf
-        "racecheck: cannot locate the repository's lib/ (pass --root)\n";
-      2
-    end
-    else begin
-      let files = List.concat_map Srclint.ml_files_under roots in
-      if files = [] then begin
-        Printf.eprintf "racecheck: no .ml files under %s\n"
-          (String.concat ", " roots);
-        2
-      end
-      else begin
-        let registry = if no_registry then Some [] else None in
-        let report = Srclint.analyze_files ?registry files in
-        print_string (Srclint.render report);
-        (match json_path with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          output_string oc (Rdb_obs.Json.to_string (Srclint.to_json report));
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "racecheck report written to %s\n%!" path);
-        Srclint.exit_code report
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "racecheck"
-       ~doc:
-         "Source-level concurrency-safety lint of the repository's own .ml \
-          tree: checks every @guarded_by/@confined-annotated shared state \
-          for accesses outside its lock, closures passed to other domains \
-          that capture guarded state, blocking calls under a lock, \
-          lock-acquisition-order cycles across modules, and the checked \
-          registry of the serving stack's shared state. The static \
-          complement of the TSan CI job. Exits 1 on error findings, 2 on \
-          usage errors.")
-    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
-
-(* ---- exnflow ---- *)
+  source_cmd "racecheck"
+    ~doc:
+      "Source-level concurrency-safety lint of the repository's own .ml \
+       tree: checks every @guarded_by/@confined-annotated shared state \
+       for accesses outside its lock, closures passed to other domains \
+       that capture guarded state, blocking calls under a lock, \
+       lock-acquisition-order cycles across modules, and the checked \
+       registry of the serving stack's shared state. The static \
+       complement of the TSan CI job. Exits 1 on error findings, 2 on \
+       usage errors."
+    ~json_doc:
+      "Write the full report (locks, lock-order edges, findings) as JSON to \
+       PATH."
+    ~no_registry_doc:
+      "Skip the checked registry of the serving stack's known shared state \
+       (for analyzing trees other than this repository's lib/)."
+    (fun no_registry ->
+      Srclint.racecheck ?registry:(if no_registry then Some [] else None))
+    Srclint.render_race Srclint.race_to_json
 
 let cmd_exnflow =
   let module Srclint = Rdb_srclint.Srclint in
-  let roots_arg =
-    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
-           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
-                 Default: the repository's lib/ directory, located by \
-                 walking up from the current directory.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full report (summaries count, findings) as JSON \
-                 to PATH.")
-  in
-  let no_registry_arg =
-    Arg.(value & flag & info [ "no-registry" ]
-           ~doc:"Skip the designated-handler registry and the pinned \
-                 serving-stack file list (for analyzing trees other than \
-                 this repository's lib/).")
-  in
-  let run roots json_path no_registry =
-    let roots =
-      match roots with
-      | [] -> (
-        match Srclint.find_default_root () with Some r -> [ r ] | None -> [])
-      | rs -> rs
-    in
-    if roots = [] then begin
-      Printf.eprintf
-        "exnflow: cannot locate the repository's lib/ (pass --root)\n";
-      2
-    end
-    else begin
-      let files = List.concat_map Srclint.ml_files_under roots in
-      if files = [] then begin
-        Printf.eprintf "exnflow: no .ml files under %s\n"
-          (String.concat ", " roots);
-        2
-      end
-      else begin
-        let handlers = if no_registry then Some [] else None in
-        let pinned = if no_registry then Some [] else None in
-        let report = Srclint.analyze_exnflow_files ?handlers ?pinned files in
-        print_string (Srclint.render_exnflow report);
-        (match json_path with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc
-                (Rdb_obs.Json.to_string (Srclint.exnflow_to_json report));
-              output_char oc '\n');
-          Printf.eprintf "exnflow report written to %s\n%!" path);
-        Srclint.exn_exit_code report
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "exnflow"
-       ~doc:
-         "Source-level exception-flow lint of the repository's own .ml \
-          tree: proves resources acquired in a scope (fds, channels, held \
-          mutexes, pools, temp tables) are released on every raising path, \
-          that no exception can escape a Domain.spawn/Thread.create/\
-          Pool.submit closure, and that control exceptions \
-          (Work_budget_exceeded & co) are only caught at registry-pinned \
-          handler sites. The error-path complement of racecheck. Exits 1 \
-          on error findings, 2 on usage errors.")
-    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
+  source_cmd "exnflow"
+    ~doc:
+      "Source-level exception-flow lint of the repository's own .ml tree: \
+       proves resources acquired in a scope (fds, channels, held mutexes, \
+       pools, temp tables) are released on every raising path, that no \
+       exception can escape a Domain.spawn/Thread.create/Pool.submit \
+       closure, and that control exceptions (Work_budget_exceeded & co) \
+       are only caught at registry-pinned handler sites. The error-path \
+       complement of racecheck. Exits 1 on error findings, 2 on usage \
+       errors."
+    ~json_doc:
+      "Write the full report (summaries count, findings) as JSON to PATH."
+    ~no_registry_doc:
+      "Skip the designated-handler registry and the pinned serving-stack \
+       file list (for analyzing trees other than this repository's lib/)."
+    (fun no_registry ->
+      if no_registry then Srclint.exnflow ~handlers:[] ~pinned:[]
+      else Srclint.exnflow ?handlers:None ?pinned:None)
+    Srclint.render_exnflow Srclint.exnflow_to_json
+
+(* ---- json-check ---- *)
 
 let cmd_json_check =
   let path_pos =

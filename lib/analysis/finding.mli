@@ -19,6 +19,9 @@ val error : code:string -> string -> t
 
 val severity_name : severity -> string
 
+val rank : severity -> int
+(** Report order: errors (0) before warnings (1) before info (2). *)
+
 val errors : t list -> t list
 (** Only the error-severity findings. *)
 

@@ -23,14 +23,8 @@
    functions from a fresh context. *)
 
 open Ppxlib
-module Finding = Rdb_analysis.Finding
+open Model
 module SS = Set.Make (String)
-
-type located = Lockcheck.located = {
-  lfile : string;
-  lline : int;
-  lfinding : Finding.t;
-}
 
 (* ---- escape sets and catch masks ---- *)
 
@@ -66,68 +60,6 @@ let apply_mask m e =
   if m.m_all then e_empty else { e with known = SS.diff e.known m.m_named }
 
 let apply_masks masks e = List.fold_left (fun acc m -> apply_mask m acc) e masks
-
-(* ---- syntactic helpers (shared shapes with Lockcheck) ---- *)
-
-let rec lid_last = function
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> lid_last l
-
-let last2 = function
-  | Lident f -> ("", f)
-  | Ldot (p, f) -> (lid_last p, f)
-  | Lapply (_, l) -> ("", lid_last l)
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
-
-let is_closure e =
-  match (unconstrain e).pexp_desc with Pexp_function _ -> true | _ -> false
-
-let pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let children (e : expression) : expression list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression x =
-        if !depth = 0 then begin
-          incr depth;
-          super#expression x;
-          decr depth
-        end
-        else acc := x :: !acc
-    end
-  in
-  it#expression e;
-  List.rev !acc
-
-let pat_vars (p : pattern) =
-  let acc = ref SS.empty in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-          acc := SS.add txt !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
 
 (* constructor names a handler pattern can catch *)
 let rec pat_catches (p : pattern) : mask =
@@ -244,16 +176,7 @@ let is_raise_head = function
   | "Printexc", "raise_with_backtrace" -> true
   | _ -> false
 
-(* ---- acquisition / release / spawn heads ---- *)
-
-(* Spawn heads: closures handed to another domain/thread, plus the pool
-   entry points (a pool task's escape surfaces at [await] on a different
-   domain — by design it must be recorded into the future, not thrown). *)
-let spawn_heads =
-  [ ("Domain", "spawn"); ("Thread", "create"); ("Pool", "submit");
-    ("Pool", "map"); ("Pool", "run") ]
-
-let is_spawn p = List.mem p spawn_heads
+(* ---- acquisition / release heads ---- *)
 
 type rkind = Rfd | Rchan | Rlock | Rpool | Rtable
 
@@ -302,14 +225,8 @@ let released_of p args =
   in
   match arg with Some re -> ident_arg re | None -> None
 
-let lock_id (f : Model.file) me =
-  match (unconstrain me).pexp_desc with
-  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
-    let n = lid_last txt in
-    if Hashtbl.mem f.Model.locks n then
-      Some ("lock:" ^ Model.qualify f.Model.base n)
-    else None
-  | _ -> None
+(* held locks are tracked as resources named [lock:<qualified lock>] *)
+let lock_id f me = Option.map (( ^ ) "lock:") (lock_of_expr f me)
 
 let pretty_res r =
   if String.length r > 5 && String.sub r 0 5 = "lock:" then
@@ -339,8 +256,6 @@ let default_pinned =
     "server/plan_cache.ml"; "core/feedback.ml"; "obs/trace.ml";
     "obs/metrics.ml"; "exec/executor.ml"; "core/reopt.ml" ]
 
-let norm p = String.map (fun c -> if c = '\\' then '/' else c) p
-
 (* ---- interprocedural summaries ---- *)
 
 type summary = {
@@ -356,11 +271,6 @@ type sinfo = {
   si_handles : string list;
   si_releases : string list;
 }
-
-let resolve (f : Model.file) txt =
-  match last2 txt with
-  | "", n -> (f.Model.base, n)
-  | m, n -> (String.lowercase_ascii m, n)
 
 (* The facts pass: one traversal per function body recording direct raises
    (filtered through the masks enclosing each site), handled constructor
@@ -440,99 +350,38 @@ and facts_fn f sm masks (e : expression) =
     List.iter (fun c -> facts f sm masks c.pc_rhs) cases
   | _ -> facts f sm masks e
 
-let bindings_of (f : Model.file) : (string * expression) list =
-  let out = ref [] in
-  let add vb =
-    match pat_name vb.pvb_pat with
-    | Some txt -> out := (txt, vb.pvb_expr) :: !out
-    | None -> ()
-  in
-  let rec item (it : structure_item) =
-    match it.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter add vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-      List.iter item sub
-    | _ -> ()
-  in
-  List.iter item f.Model.structure;
-  let locals =
-    object
-      inherit Ast_traverse.iter as super
+let new_summary () =
+  { s_raises = e_empty; s_handles = SS.empty; s_releases = SS.empty;
+    s_calls = [] }
 
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_let (_, vbs, _) ->
-          List.iter (fun vb -> if is_closure vb.pvb_expr then add vb) vbs
-        | _ -> ());
-        super#expression e
-    end
-  in
-  locals#structure f.Model.structure;
-  List.rev !out
-
-let build_summaries (files : Model.file list) =
-  let tbl : (string * string, summary) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Model.file) ->
-      List.iter
-        (fun (name, body) ->
-          let sm =
-            match Hashtbl.find_opt tbl (f.base, name) with
-            | Some sm -> sm
-            | None ->
-              let sm =
-                { s_raises = e_empty; s_handles = SS.empty;
-                  s_releases = SS.empty; s_calls = [] }
-              in
-              Hashtbl.replace tbl (f.base, name) sm;
-              sm
-          in
-          facts_fn f sm [] body;
-          match Hashtbl.find_opt f.funs name with
-          | Some fa ->
-            List.iter
-              (fun r ->
-                let r =
-                  if Hashtbl.mem f.locks r then
-                    "lock:" ^ Model.qualify f.base r
-                  else r
-                in
-                sm.s_releases <- SS.add r sm.s_releases)
-              fa.Model.freleases
-          | None -> ())
-        (bindings_of f))
-    files;
-  (* fixpoint: a call's contribution is the callee's escape set filtered
-     through the masks enclosing the call site *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun _ sm ->
+let build_summaries files =
+  summarize files ~init:new_summary
+    ~facts:(fun f name sm body ->
+      facts_fn f sm [] body;
+      match Hashtbl.find_opt f.funs name with
+      | Some fa ->
         List.iter
-          (fun (key, masks) ->
-            List.iter
-              (fun c ->
-                if c != sm then begin
-                  let contrib = apply_masks masks c.s_raises in
-                  if not (e_subset contrib sm.s_raises) then begin
-                    sm.s_raises <- e_union sm.s_raises contrib;
-                    changed := true
-                  end
-                end)
-              (Hashtbl.find_all tbl key))
-          sm.s_calls)
-      tbl
-  done;
-  tbl
+          (fun r ->
+            let r =
+              if Hashtbl.mem f.locks r then "lock:" ^ Model.qualify f.base r
+              else r
+            in
+            sm.s_releases <- SS.add r sm.s_releases)
+          fa.Model.freleases
+      | None -> ())
+    ~calls:(fun sm -> sm.s_calls)
+    ~absorb:(fun sm masks c ->
+      (* a call's contribution is the callee's escape set filtered
+         through the masks enclosing the call site *)
+      let contrib = apply_masks masks c.s_raises in
+      let grew = not (e_subset contrib sm.s_raises) in
+      sm.s_raises <- e_union sm.s_raises contrib;
+      grew)
 
 (* may-escape of a closure literal handed to a spawn head, through the
    fixpointed summaries *)
 let may_escape tbl (f : Model.file) (e : expression) : eset =
-  let sm =
-    { s_raises = e_empty; s_handles = SS.empty; s_releases = SS.empty;
-      s_calls = [] }
-  in
+  let sm = new_summary () in
   facts_fn f sm [] e;
   List.fold_left
     (fun acc (key, masks) ->
@@ -545,7 +394,7 @@ let may_escape tbl (f : Model.file) (e : expression) : eset =
 
 type rinfo = { rline : int; rkind : rkind }
 
-type run = { mutable items : located list; mutable nres : int }
+type run = { items : item list ref; mutable nres : int }
 
 type ctx = {
   cfile : Model.file;
@@ -561,18 +410,7 @@ type ctx = {
    Fun.protect/@releases shape; masks: enclosing handler sets *)
 type env = { res : SS.t; prot : SS.t; masks : mask list; shadow : SS.t }
 
-let emit ctx line sev code fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let f =
-        match sev with
-        | `E -> Finding.error ~code msg
-        | `W -> Finding.warning ~code msg
-      in
-      ctx.run.items <-
-        { lfile = ctx.cfile.Model.path; lline = line; lfinding = f }
-        :: ctx.run.items)
-    fmt
+let emit ctx = Model.emit ctx.run.items ctx.cfile.path
 
 let summaries_of ctx txt =
   Hashtbl.find_all ctx.summaries (resolve ctx.cfile txt)
@@ -716,10 +554,10 @@ let rec walk ctx env (e : expression) : env =
     let et = walk ctx envc t in
     let ef = match f with Some f -> walk ctx envc f | None -> envc in
     let exits =
-      (if Lockcheck.diverges t then [] else [ et.res ])
+      (if diverges t then [] else [ et.res ])
       @
       match f with
-      | Some f when Lockcheck.diverges f -> []
+      | Some f when diverges f -> []
       | _ -> [ ef.res ]
     in
     (match exits with
@@ -761,7 +599,7 @@ let rec walk ctx env (e : expression) : env =
             match c.pc_guard with Some g -> walk ctx entry g | None -> entry
           in
           let ex = walk ctx e1 c.pc_rhs in
-          if Lockcheck.diverges c.pc_rhs then None else Some ex.res)
+          if diverges c.pc_rhs then None else Some ex.res)
         cases
     in
     (match exits with
@@ -782,7 +620,7 @@ let rec walk ctx env (e : expression) : env =
             match c.pc_guard with Some g -> walk ctx entry g | None -> entry
           in
           let ex = walk ctx e1 c.pc_rhs in
-          if Lockcheck.diverges c.pc_rhs then None else Some ex.res)
+          if diverges c.pc_rhs then None else Some ex.res)
         cases
     in
     let body_exit = { envb with masks = env.masks } in
@@ -983,90 +821,44 @@ let walk_file ctx =
 (* ---- registry + entry point ---- *)
 
 type result = {
-  items : located list;
+  items : item list;
   summaries : (string * sinfo) list;
   resources : int;
 }
 
-let registry_findings handlers pinned (files : Model.file list) =
-  let items = ref [] in
-  let emit file line code msg =
-    items :=
-      { lfile = file; lline = line; lfinding = Finding.error ~code msg }
-      :: !items
-  in
-  let present suffix =
-    List.exists
-      (fun (f : Model.file) -> String.ends_with ~suffix (norm f.path))
-      files
-  in
-  List.iter
-    (fun suffix ->
-      if not (present suffix) then
-        emit suffix 0 "src-registry-missing-file"
-          (Printf.sprintf
-             "pinned serving-stack file %s not found in analyzed tree" suffix))
-    pinned;
-  List.iter
-    (fun h ->
-      if not (present h.hsuffix) then
-        emit h.hsuffix 0 "src-registry-missing-file"
-          (Printf.sprintf
-             "designated-handler file %s not found in analyzed tree"
-             h.hsuffix))
-    handlers;
-  !items
-
 let check ?(handlers = default_handlers) ?(pinned = default_pinned)
     (files : Model.file list) : result =
-  let run = { items = []; nres = 0 } in
+  let run = { items = ref []; nres = 0 } in
   let summaries = build_summaries files in
-  let handled_tbl : (string, SS.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (f : Model.file) ->
-      let allowed =
-        List.fold_left
-          (fun acc h ->
-            if String.ends_with ~suffix:h.hsuffix (norm f.Model.path) then
-              SS.union acc (SS.of_list h.hexns)
-            else acc)
-          SS.empty handlers
-      in
-      let handled = ref SS.empty in
+      let mine = List.filter (fun h -> has_suffix h.hsuffix f) handlers in
       let ctx =
-        { cfile = f; summaries; allowed; run; rtbl = Hashtbl.create 8;
-          reported = Hashtbl.create 8; handled }
+        { cfile = f; summaries;
+          allowed = SS.of_list (List.concat_map (fun h -> h.hexns) mine);
+          run; rtbl = Hashtbl.create 8; reported = Hashtbl.create 8;
+          handled = ref SS.empty }
       in
       walk_file ctx;
-      Hashtbl.replace handled_tbl (norm f.Model.path) !handled)
+      (* a registered handler entry that no longer catches its exception is
+         stale: the abort would sail past the layer the registry promises *)
+      List.iter
+        (fun h ->
+          List.iter
+            (fun x ->
+              if not (SS.mem x !(ctx.handled)) then
+                Model.emit run.items f.path 0 `W "src-stale-handler"
+                  "registry expects %s to be caught in %s but no handler \
+                   names it"
+                  x h.hsuffix)
+            h.hexns)
+        mine)
     files;
-  (* a registered handler entry that no longer catches its exception is
-     stale: the abort would sail past the layer the registry promises *)
-  let stale =
-    List.concat_map
-      (fun h ->
-        Hashtbl.fold
-          (fun path handled acc ->
-            if String.ends_with ~suffix:h.hsuffix path then
-              List.filter_map
-                (fun x ->
-                  if SS.mem x handled then None
-                  else
-                    Some
-                      { lfile = path; lline = 0;
-                        lfinding =
-                          Finding.warning ~code:"src-stale-handler"
-                            (Printf.sprintf
-                               "registry expects %s to be caught in %s but \
-                                no handler names it"
-                               x h.hsuffix) })
-                h.hexns
-              @ acc
-            else acc)
-          handled_tbl [])
-      handlers
+  let require what suffix =
+    ignore (Registry.find_pinned run.items ~what files suffix)
   in
-  run.items <- stale @ registry_findings handlers pinned files @ run.items;
+  List.iter (require "pinned serving-stack file") pinned;
+  List.iter (fun h -> require "designated-handler file" h.hsuffix) handlers;
   let sinfos =
     Hashtbl.fold
       (fun (base, name) sm acc ->
@@ -1079,4 +871,4 @@ let check ?(handlers = default_handlers) ?(pinned = default_pinned)
       summaries []
     |> List.sort compare
   in
-  { items = run.items; summaries = sinfos; resources = run.nres }
+  { items = !(run.items); summaries = sinfos; resources = run.nres }

@@ -10,12 +10,6 @@
     table is assumed raising, and [Fun.protect]/[Mutex.protect]/[@releases]
     are the recognized sound release shapes. *)
 
-type located = Lockcheck.located = {
-  lfile : string;
-  lline : int;
-  lfinding : Rdb_analysis.Finding.t;
-}
-
 type sinfo = {
   si_raises : string list;  (** named constructors that may escape *)
   si_any : bool;  (** may also raise something unnamed *)
@@ -39,7 +33,7 @@ val default_pinned : string list
 (** Serving-stack files that must be present in the analyzed tree. *)
 
 type result = {
-  items : located list;
+  items : Model.item list;
   summaries : (string * sinfo) list;  (** ["base.fn"] -> summary, sorted *)
   resources : int;  (** tracked acquisition sites *)
 }

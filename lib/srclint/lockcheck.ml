@@ -9,43 +9,12 @@
    spawn points, which start from the empty set on a fresh domain/thread. *)
 
 open Ppxlib
-module Finding = Rdb_analysis.Finding
+open Model
 module SS = Set.Make (String)
 
 type edge = { efrom : string; eto : string; efile : string; eline : int }
 
-type located = { lfile : string; lline : int; lfinding : Finding.t }
-
-type result = { items : located list; edges : edge list }
-
-(* ---- small syntactic helpers ---- *)
-
-let rec lid_last = function
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> lid_last l
-
-(* last module component + value name: [Rdb_util.Pool.submit] -> (Pool, submit) *)
-let last2 = function
-  | Lident f -> ("", f)
-  | Ldot (p, f) -> (lid_last p, f)
-  | Lapply (_, l) -> ("", lid_last l)
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
-
-let is_closure e =
-  match (unconstrain e).pexp_desc with Pexp_function _ -> true | _ -> false
-
-(* Calls that hand a closure to another domain/thread. Name-based so the
-   check also fires on sources analyzed without their Pool counterpart. *)
-let spawn_heads =
-  [ ("Domain", "spawn"); ("Thread", "create"); ("Pool", "submit");
-    ("Pool", "map"); ("Pool", "run") ]
-
-let is_spawn p = List.mem p spawn_heads
+type result = { items : item list; edges : edge list }
 
 (* Primitives that can block the calling domain. [Mutex.lock] is excluded —
    it feeds the lock-order graph instead. Channel *output* is excluded by
@@ -70,34 +39,6 @@ let is_summary_blocking p = is_blocking p && p <> ("Condition", "wait")
 
 let blocking_name (m, f) = if m = "" then f else m ^ "." ^ f
 
-(* Depth-1 child expressions, for AST constructors with no special rule. *)
-let children (e : expression) : expression list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression x =
-        if !depth = 0 then begin
-          incr depth;
-          super#expression x;
-          decr depth
-        end
-        else acc := x :: !acc
-    end
-  in
-  it#expression e;
-  List.rev !acc
-
-let lock_of_expr (f : Model.file) e =
-  match (unconstrain e).pexp_desc with
-  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
-    let n = lid_last txt in
-    if Hashtbl.mem f.Model.locks n then Some (Model.qualify f.Model.base n)
-    else None
-  | _ -> None
-
 (* ---- interprocedural summaries ---- *)
 
 type summary = {
@@ -112,10 +53,8 @@ type summary = {
 let rec facts (f : Model.file) sm (e : expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
-    let m, n = last2 txt in
-    if is_summary_blocking (m, n) then sm.s_block <- true;
-    let b = if m = "" then f.Model.base else String.lowercase_ascii m in
-    sm.s_callees <- (b, n) :: sm.s_callees
+    if is_summary_blocking (last2 txt) then sm.s_block <- true;
+    sm.s_callees <- resolve f txt :: sm.s_callees
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
     match last2 txt with
     | ("Mutex", "lock") | ("Mutex", "protect") ->
@@ -129,95 +68,30 @@ let rec facts (f : Model.file) sm (e : expression) =
     | p when is_spawn p -> if is_summary_blocking p then sm.s_block <- true
     | p ->
       if is_summary_blocking p then sm.s_block <- true
-      else begin
-        let m, n = p in
-        let b = if m = "" then f.Model.base else String.lowercase_ascii m in
-        sm.s_callees <- (b, n) :: sm.s_callees
-      end;
+      else sm.s_callees <- resolve f txt :: sm.s_callees;
       List.iter (fun (_, a) -> facts f sm a) args)
   | _ -> List.iter (facts f sm) (children e)
 
-(* Every named binding whose body we can summarize: toplevel and local. *)
-let bindings_of (f : Model.file) : (string * expression) list =
-  let out = ref [] in
-  let add vb =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> out := (txt, vb.pvb_expr) :: !out
-    | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-      out := (txt, vb.pvb_expr) :: !out
-    | _ -> ()
-  in
-  let rec item (it : structure_item) =
-    match it.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter add vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-      List.iter item sub
-    | _ -> ()
-  in
-  List.iter item f.Model.structure;
-  let locals =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_let (_, vbs, _) ->
-          List.iter (fun vb -> if is_closure vb.pvb_expr then add vb) vbs
-        | _ -> ());
-        super#expression e
-    end
-  in
-  locals#structure f.Model.structure;
-  List.rev !out
-
-let build_summaries (files : Model.file list) =
-  let tbl : (string * string, summary) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Model.file) ->
-      List.iter
-        (fun (name, body) ->
-          let sm =
-            match Hashtbl.find_opt tbl (f.base, name) with
-            | Some sm -> sm
-            | None ->
-              let sm = { s_block = false; s_acq = SS.empty; s_callees = [] } in
-              Hashtbl.replace tbl (f.base, name) sm;
-              sm
-          in
-          facts f sm body;
-          (match Hashtbl.find_opt f.funs name with
-          | Some fa ->
-            sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.facquires);
-            sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.fwith_lock)
-          | None -> ());
-          sm.s_callees <- List.sort_uniq compare sm.s_callees)
-        (bindings_of f))
-    files;
-  (* fixpoint: propagate may-block / may-acquire over the call graph *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun _ sm ->
-        List.iter
-          (fun key ->
-            List.iter
-              (fun c ->
-                if c != sm then begin
-                  if c.s_block && not sm.s_block then begin
-                    sm.s_block <- true;
-                    changed := true
-                  end;
-                  if not (SS.subset c.s_acq sm.s_acq) then begin
-                    sm.s_acq <- SS.union sm.s_acq c.s_acq;
-                    changed := true
-                  end
-                end)
-              (Hashtbl.find_all tbl key))
-          sm.s_callees)
-      tbl
-  done;
-  tbl
+let build_summaries files =
+  summarize files
+    ~init:(fun () -> { s_block = false; s_acq = SS.empty; s_callees = [] })
+    ~facts:(fun f name sm body ->
+      facts f sm body;
+      (match Hashtbl.find_opt f.funs name with
+      | Some fa ->
+        sm.s_acq <-
+          SS.union sm.s_acq (SS.of_list (fa.facquires @ fa.fwith_lock))
+      | None -> ());
+      sm.s_callees <- List.sort_uniq compare sm.s_callees)
+    ~calls:(fun sm -> List.map (fun key -> (key, ())) sm.s_callees)
+    ~absorb:(fun sm () c ->
+      (* propagate may-block / may-acquire *)
+      let grew =
+        (c.s_block && not sm.s_block) || not (SS.subset c.s_acq sm.s_acq)
+      in
+      sm.s_block <- sm.s_block || c.s_block;
+      sm.s_acq <- SS.union sm.s_acq c.s_acq;
+      grew)
 
 (* ---- the walker ---- *)
 
@@ -226,7 +100,7 @@ let build_summaries (files : Model.file list) =
    shared-state binding, so it is exempt from guarded-access checks. *)
 type env = { held : SS.t; spawn : bool; shadow : SS.t }
 
-type run = { mutable items : located list; mutable raw_edges : edge list }
+type run = { items : item list ref; mutable raw_edges : edge list }
 
 type ctx = {
   cfile : Model.file;
@@ -235,18 +109,7 @@ type ctx = {
   run : run;
 }
 
-let emit ctx line sev code fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let f =
-        match sev with
-        | `E -> Finding.error ~code msg
-        | `W -> Finding.warning ~code msg
-      in
-      ctx.run.items <-
-        { lfile = ctx.cfile.Model.path; lline = line; lfinding = f }
-        :: ctx.run.items)
-    fmt
+let emit ctx = Model.emit ctx.run.items ctx.cfile.path
 
 let held_str held = String.concat ", " (SS.elements held)
 
@@ -259,11 +122,6 @@ let add_edges ctx line held ~to_:l =
           :: ctx.run.raw_edges)
     held
 
-let resolve_key ctx txt =
-  match last2 txt with
-  | "", n -> (ctx.cfile.Model.base, n)
-  | m, n -> (String.lowercase_ascii m, n)
-
 let fannots_of ctx txt : Model.fannot list =
   match last2 txt with
   | "", n -> (
@@ -275,24 +133,7 @@ let fannots_of ctx txt : Model.fannot list =
     |> List.filter_map (fun (f : Model.file) -> Hashtbl.find_opt f.funs n)
 
 let summaries_of ctx txt =
-  Hashtbl.find_all ctx.summaries (resolve_key ctx txt)
-
-let pat_vars (p : pattern) =
-  let acc = ref SS.empty in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-          acc := SS.add txt !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
+  Hashtbl.find_all ctx.summaries (resolve ctx.cfile txt)
 
 (* [ident] marks a bare-identifier mention: those cannot denote record
    fields and are exempt when the name is shadowed by a local binding. *)
@@ -332,28 +173,6 @@ let check_blocking ctx env ~line txt =
         "call to %s may block (transitively) while holding %s"
         (blocking_name p) (held_str env.held)
   end
-
-(* Branches that cannot return normally (raise, failwith, assert false)
-   must not participate in the held-set merge: [if bad then (unlock; fail)]
-   still holds the lock on the fall-through path. *)
-let divergent_heads =
-  [ ("", "raise"); ("", "raise_notrace"); ("", "failwith");
-    ("", "invalid_arg"); ("Stdlib", "raise"); ("Stdlib", "failwith");
-    ("Stdlib", "invalid_arg"); ("Printexc", "raise_with_backtrace") ]
-
-let rec diverges (e : expression) =
-  match e.pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-    List.mem (last2 txt) divergent_heads
-  | Pexp_assert
-      { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
-    true
-  | Pexp_sequence (_, b) | Pexp_let (_, _, b) -> diverges b
-  | Pexp_constraint (b, _) -> diverges b
-  | Pexp_ifthenelse (_, t, Some f) -> diverges t && diverges f
-  | Pexp_match (_, cases) ->
-    cases <> [] && List.for_all (fun c -> diverges c.pc_rhs) cases
-  | _ -> false
 
 let rec walk ctx env (e : expression) : env =
   let line = e.pexp_loc.loc_start.pos_lnum in
@@ -754,15 +573,7 @@ let sccs nodes adj =
   List.rev !out
 
 let order_findings run (files : Model.file list) edges =
-  let items = ref [] in
-  let emit_at file line sev code msg =
-    let f =
-      match sev with
-      | `E -> Finding.error ~code msg
-      | `W -> Finding.warning ~code msg
-    in
-    items := { lfile = file; lline = line; lfinding = f } :: !items
-  in
+  let emit_at file line = Model.emit run.items file line `E in
   (* observed-cycle detection *)
   let adj = Hashtbl.create 16 in
   let nodes = ref SS.empty in
@@ -795,10 +606,9 @@ let order_findings run (files : Model.file list) edges =
         let file, line =
           match site with Some e -> (e.efile, e.eline) | None -> ("", 0)
         in
-        emit_at file line `E "src-lock-order-cycle"
-          (Printf.sprintf
-             "potential deadlock: lock acquisition cycle between %s"
-             (String.concat " <-> " comp)))
+        emit_at file line "src-lock-order-cycle"
+          "potential deadlock: lock acquisition cycle between %s"
+          (String.concat " <-> " comp))
     (sccs (SS.elements !nodes) adj);
   (* declared-order transitive closure *)
   let declared = Hashtbl.create 16 in
@@ -842,34 +652,26 @@ let order_findings run (files : Model.file list) edges =
           | Some loc -> loc
           | None -> ("", 0)
         in
-        emit_at file line `E "src-lock-order-contradiction"
-          (Printf.sprintf
-             "@lock_order declarations order %s and %s both ways" a b)
+        emit_at file line "src-lock-order-contradiction"
+          "@lock_order declarations order %s and %s both ways" a b
       end)
     declared;
   (* observed edges against declared order *)
   List.iter
     (fun e ->
       if Hashtbl.mem declared (e.eto, e.efrom) then
-        emit_at e.efile e.eline `E "src-lock-order-violation"
-          (Printf.sprintf
-             "acquired %s while holding %s, but @lock_order declares %s < %s"
-             e.eto e.efrom e.eto e.efrom))
-    edges;
-  run.items <- !items @ run.items
+        emit_at e.efile e.eline "src-lock-order-violation"
+          "acquired %s while holding %s, but @lock_order declares %s < %s"
+          e.eto e.efrom e.eto e.efrom)
+    edges
 
 (* ---- annotation hygiene across the whole set ---- *)
 
 let stale_findings run (files : Model.file list) all_locks =
-  let items = ref [] in
   let stale (f : Model.file) line l =
     if not (SS.mem l all_locks) then
-      items :=
-        { lfile = f.path; lline = line;
-          lfinding =
-            Finding.error ~code:"src-stale-annotation"
-              (Printf.sprintf "annotation names unknown lock %s" l) }
-        :: !items
+      Model.emit run.items f.path line `E "src-stale-annotation"
+        "annotation names unknown lock %s" l
   in
   List.iter
     (fun (f : Model.file) ->
@@ -889,13 +691,12 @@ let stale_findings run (files : Model.file list) all_locks =
           stale f line a;
           stale f line b)
         f.orders)
-    files;
-  run.items <- !items @ run.items
+    files
 
 (* ---- entry point ---- *)
 
 let check (files : Model.file list) : result =
-  let run = { items = []; raw_edges = [] } in
+  let run = { items = ref []; raw_edges = [] } in
   let models = Hashtbl.create 16 in
   List.iter (fun (f : Model.file) -> Hashtbl.add models f.Model.base f) files;
   let all_locks =
@@ -907,29 +708,6 @@ let check (files : Model.file list) : result =
       SS.empty files
   in
   let summaries = build_summaries files in
-  List.iter
-    (fun (f : Model.file) ->
-      (match f.parse_error with
-      | Some msg ->
-        run.items <-
-          { lfile = f.path; lline = 1;
-            lfinding =
-              Finding.error ~code:"src-parse-error"
-                (Printf.sprintf "could not parse: %s" msg) }
-          :: run.items
-      | None -> ());
-      List.iter
-        (fun (i : Model.issue) ->
-          let mk =
-            match i.isev with
-            | `Error -> Finding.error ~code:"src-bad-annotation"
-            | `Warning -> Finding.warning ~code:"src-dangling-annotation"
-          in
-          run.items <-
-            { lfile = f.path; lline = i.iline; lfinding = mk i.itext }
-            :: run.items)
-        f.issues)
-    files;
   stale_findings run files all_locks;
   List.iter
     (fun (f : Model.file) ->
@@ -937,4 +715,4 @@ let check (files : Model.file list) : result =
     files;
   let edges = dedup_edges run.raw_edges in
   order_findings run files edges;
-  { items = run.items; edges }
+  { items = !(run.items); edges }

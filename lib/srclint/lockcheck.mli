@@ -5,22 +5,13 @@
 
     Interprocedural reasoning is by name-based summaries (may-acquire /
     may-block) computed to a fixpoint over the call graph; everything else is
-    intraprocedural over the parsetree. *)
+    intraprocedural over the parsetree. Parse errors and annotation issues
+    are the caller's to report ({!Srclint}). *)
 
 type edge = { efrom : string; eto : string; efile : string; eline : int }
 (** [efrom] was held at [efile:eline] when [eto] was acquired. *)
 
-type located = {
-  lfile : string;
-  lline : int;
-  lfinding : Rdb_analysis.Finding.t;
-}
-
-type result = { items : located list; edges : edge list }
+type result = { items : Model.item list; edges : edge list }
 (** [edges] is the deduplicated acquisition-order graph (first site wins). *)
-
-val diverges : Ppxlib.expression -> bool
-(** Does this expression always raise/fail (so its branch never merges)?
-    Shared with {!Exnflow}'s branch-merge logic. *)
 
 val check : Model.file list -> result

@@ -44,6 +44,19 @@ type file = {
   parse_error : string option;
 }
 
+type item = { file : string; line : int; finding : Rdb_analysis.Finding.t }
+
+let emit items file line sev code fmt =
+  Printf.ksprintf
+    (fun message ->
+      let finding =
+        match sev with
+        | `E -> Rdb_analysis.Finding.error ~code message
+        | `W -> Rdb_analysis.Finding.warning ~code message
+      in
+      items := { file; line; finding } :: !items)
+    fmt
+
 let qualify base name = if String.contains name '.' then name else base ^ "." ^ name
 
 let rec lid_last = function
@@ -55,6 +68,109 @@ let rec lid_str = function
   | Lident s -> s
   | Ldot (l, s) -> lid_str l ^ "." ^ s
   | Lapply (a, _) -> lid_str a
+
+(* ---- syntax helpers shared by the checkers ---- *)
+
+module SS = Set.Make (String)
+
+(* last module component + value name:
+   [Rdb_util.Pool.submit] -> (Pool, submit) *)
+let last2 = function
+  | Lident f -> ("", f)
+  | Ldot (p, f) -> (lid_last p, f)
+  | Lapply (_, l) -> ("", lid_last l)
+
+let rec unconstrain (e : expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (e', _) -> unconstrain e'
+  | _ -> e
+
+let is_closure e =
+  match (unconstrain e).pexp_desc with Pexp_function _ -> true | _ -> false
+
+let pat_name (p : pattern) =
+  match p.ppat_desc with
+  | Ppat_var { txt; _ } -> Some txt
+  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
+  | _ -> None
+
+let pat_vars (p : pattern) =
+  let acc = ref SS.empty in
+  let it =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! pattern p =
+        (match p.ppat_desc with
+        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
+          acc := SS.add txt !acc
+        | _ -> ());
+        super#pattern p
+    end
+  in
+  it#pattern p;
+  !acc
+
+(* Depth-1 child expressions, for AST constructors with no special rule. *)
+let children (e : expression) : expression list =
+  let acc = ref [] in
+  let depth = ref 0 in
+  let it =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! expression x =
+        if !depth = 0 then begin
+          incr depth;
+          super#expression x;
+          decr depth
+        end
+        else acc := x :: !acc
+    end
+  in
+  it#expression e;
+  List.rev !acc
+
+(* The qualified lock a [Mutex.*] argument names, if it is one of this
+   file's locks. *)
+let lock_of_expr f e =
+  match (unconstrain e).pexp_desc with
+  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
+    let n = lid_last txt in
+    if Hashtbl.mem f.locks n then Some (qualify f.base n) else None
+  | _ -> None
+
+(* Calls that hand a closure to another domain/thread, pool entry points
+   included (a pool task's escape surfaces at [await] on a different
+   domain). Name-based so the checks also fire on sources analyzed without
+   their Pool counterpart. *)
+let spawn_heads =
+  [ ("Domain", "spawn"); ("Thread", "create"); ("Pool", "submit");
+    ("Pool", "map"); ("Pool", "run") ]
+
+let is_spawn p = List.mem p spawn_heads
+
+(* Branches that cannot return normally (raise, failwith, assert false)
+   must not participate in a branch merge: [if bad then (unlock; fail)]
+   still holds the lock on the fall-through path. *)
+let divergent_heads =
+  [ ("", "raise"); ("", "raise_notrace"); ("", "failwith");
+    ("", "invalid_arg"); ("Stdlib", "raise"); ("Stdlib", "failwith");
+    ("Stdlib", "invalid_arg"); ("Printexc", "raise_with_backtrace") ]
+
+let rec diverges (e : expression) =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
+    List.mem (last2 txt) divergent_heads
+  | Pexp_assert
+      { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
+    true
+  | Pexp_sequence (_, b) | Pexp_let (_, _, b) -> diverges b
+  | Pexp_constraint (b, _) -> diverges b
+  | Pexp_ifthenelse (_, t, Some f) -> diverges t && diverges f
+  | Pexp_match (_, cases) ->
+    cases <> [] && List.for_all (fun c -> diverges c.pc_rhs) cases
+  | _ -> false
 
 (* Containers whose contents are shared mutable state even without
    [mutable]: a field holding one of these is auto-detected. *)
@@ -92,17 +208,6 @@ type decl = {
   dauto : bool;  (* auto-detected shared state *)
   dfun : bool;  (* can carry @requires/@acquires/@with_lock *)
 }
-
-let pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
 
 type bindclass = Bmutex | Bref | Bplain
 
@@ -307,3 +412,77 @@ let suppressed f line = near f.race_ok line
 let cleanup_suppressed f line = near f.cleanup_ok line
 
 let swallow_suppressed f line = near f.swallow_ok line
+
+let has_suffix suffix f =
+  let norm = String.map (fun c -> if c = '\\' then '/' else c) in
+  String.ends_with ~suffix (norm f.path)
+
+(* ---- function bindings and their summaries ---- *)
+
+(* Every named binding whose body can be summarized: toplevel and local. *)
+let bindings_of f : (string * expression) list =
+  let out = ref [] in
+  let add vb =
+    match pat_name vb.pvb_pat with
+    | Some txt -> out := (txt, vb.pvb_expr) :: !out
+    | None -> ()
+  in
+  let rec item (it : structure_item) =
+    match it.pstr_desc with
+    | Pstr_value (_, vbs) -> List.iter add vbs
+    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
+      List.iter item sub
+    | _ -> ()
+  in
+  List.iter item f.structure;
+  let locals =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! expression e =
+        (match e.pexp_desc with
+        | Pexp_let (_, vbs, _) ->
+          List.iter (fun vb -> if is_closure vb.pvb_expr then add vb) vbs
+        | _ -> ());
+        super#expression e
+    end
+  in
+  locals#structure f.structure;
+  List.rev !out
+
+let resolve f txt =
+  match last2 txt with
+  | "", n -> (f.base, n)
+  | m, n -> (String.lowercase_ascii m, n)
+
+let summarize files ~init ~facts ~calls ~absorb =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (name, body) ->
+          let sm =
+            match Hashtbl.find_opt tbl (f.base, name) with
+            | Some sm -> sm
+            | None ->
+              let sm = init () in
+              Hashtbl.replace tbl (f.base, name) sm;
+              sm
+          in
+          facts f name sm body)
+        (bindings_of f))
+    files;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Hashtbl.iter
+      (fun _ sm ->
+        List.iter
+          (fun (key, site) ->
+            List.iter
+              (fun c -> if c != sm && absorb sm site c then changed := true)
+              (Hashtbl.find_all tbl key))
+          (calls sm))
+      tbl
+  done;
+  tbl

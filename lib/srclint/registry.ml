@@ -1,5 +1,3 @@
-module Finding = Rdb_analysis.Finding
-
 type entry = { suffix : string; required : string list }
 
 let default =
@@ -14,48 +12,37 @@ let default =
     { suffix = "obs/trace.ml"; required = [ "sink"; "depth_key" ] };
     { suffix = "harness/runner.ml"; required = [ "prepared"; "cache" ] } ]
 
-let norm p = String.map (fun c -> if c = '\\' then '/' else c) p
+let find_pinned items ~what files suffix =
+  match List.find_opt (Model.has_suffix suffix) files with
+  | Some f -> Some f
+  | None ->
+    Model.emit items suffix 0 `E "src-registry-missing-file"
+      "%s %s not found in analyzed tree" what suffix;
+    None
 
-let check entries (files : Model.file list) : Lockcheck.located list =
+let check entries (files : Model.file list) : Model.item list =
   let items = ref [] in
-  let emit file line code msg =
-    items :=
-      { Lockcheck.lfile = file; lline = line;
-        lfinding = Finding.error ~code msg }
-      :: !items
-  in
   List.iter
     (fun e ->
-      match
-        List.find_opt
-          (fun (f : Model.file) ->
-            String.ends_with ~suffix:e.suffix (norm f.path))
-          files
-      with
-      | None ->
-        emit e.suffix 0 "src-registry-missing-file"
-          (Printf.sprintf "registered file %s not found in analyzed tree"
-             e.suffix)
+      match find_pinned items ~what:"registered file" files e.suffix with
+      | None -> ()
       | Some f ->
         List.iter
           (fun name ->
             if not (Hashtbl.mem f.states name) then
-              emit f.path 0 "src-registry-missing-state"
-                (Printf.sprintf
-                   "registered state %s not declared in %s (renamed or \
-                    removed? update the registry)"
-                   name e.suffix))
+              Model.emit items f.path 0 `E "src-registry-missing-state"
+                "registered state %s not declared in %s (renamed or \
+                 removed? update the registry)"
+                name e.suffix)
           e.required;
         (* the safety net: no shared state in a registered file may be
            left undeclared *)
         Hashtbl.iter
           (fun _ (st : Model.state) ->
             if st.sguard = Model.Unannotated then
-              emit f.path st.sline "src-unannotated-state"
-                (Printf.sprintf
-                   "state %s in registered file %s lacks \
-                    @guarded_by/@confined"
-                   st.sname e.suffix))
+              Model.emit items f.path st.sline `E "src-unannotated-state"
+                "state %s in registered file %s lacks @guarded_by/@confined"
+                st.sname e.suffix)
           f.states)
     entries;
   !items

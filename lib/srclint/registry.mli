@@ -11,4 +11,14 @@ val default : entry list
 (** The serving stack: pool, plan_cache, service, frontend, metrics, trace,
     runner. *)
 
-val check : entry list -> Model.file list -> Lockcheck.located list
+val check : entry list -> Model.file list -> Model.item list
+
+val find_pinned :
+  Model.item list ref ->
+  what:string ->
+  Model.file list ->
+  string ->
+  Model.file option
+(** The analyzed file whose path ends with this suffix; when there is none,
+    adds a [src-registry-missing-file] error naming the suffix as [what]
+    (["registered file"], ["pinned serving-stack file"], ...). *)

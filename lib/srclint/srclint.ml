@@ -1,41 +1,24 @@
 module Finding = Rdb_analysis.Finding
 module Json = Rdb_obs.Json
 
-type item = { file : string; line : int; finding : Finding.t }
+type item = Model.item = { file : string; line : int; finding : Finding.t }
 
-type report = {
-  files : string list;
+type race_counts = {
   locks : string list;
   states : int;
   edges : (string * string) list;
-  items : item list;
 }
 
-let sev_rank = function
-  | Finding.Error -> 0
-  | Finding.Warning -> 1
-  | Finding.Info -> 2
+type exn_counts = {
+  functions : int;
+  resources : int;
+  summaries : (string * Exnflow.sinfo) list;
+}
 
-let sort_items items =
-  List.sort
-    (fun a b ->
-      compare
-        (sev_rank a.finding.Finding.severity, a.file, a.line,
-         a.finding.Finding.code, a.finding.Finding.message)
-        (sev_rank b.finding.Finding.severity, b.file, b.line,
-         b.finding.Finding.code, b.finding.Finding.message))
-    items
+type 'c report = { files : string list; counts : 'c; items : item list }
 
-let analyze_models ?(registry = Registry.default) (models : Model.file list) =
+let racecheck ?(registry = Registry.default) (models : Model.file list) =
   let r = Lockcheck.check models in
-  let reg = Registry.check registry models in
-  let items =
-    List.map
-      (fun (l : Lockcheck.located) ->
-        { file = l.lfile; line = l.lline; finding = l.lfinding })
-      (reg @ r.items)
-    |> sort_items
-  in
   let locks =
     List.concat_map
       (fun (f : Model.file) ->
@@ -50,16 +33,54 @@ let analyze_models ?(registry = Registry.default) (models : Model.file list) =
       (fun acc (f : Model.file) -> acc + Hashtbl.length f.states)
       0 models
   in
-  { files = List.sort compare (List.map (fun (f : Model.file) -> f.path) models);
-    locks;
-    states;
-    edges =
-      List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
-      |> List.sort_uniq compare;
-    items }
+  let edges =
+    List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
+    |> List.sort_uniq compare
+  in
+  ({ locks; states; edges }, Registry.check registry models @ r.items)
 
-let analyze_files ?registry paths =
-  analyze_models ?registry (List.map Model.load (List.sort compare paths))
+let exnflow ?handlers ?pinned models =
+  let r = Exnflow.check ?handlers ?pinned models in
+  ( { functions = List.length r.summaries; resources = r.resources;
+      summaries = r.summaries },
+    r.items )
+
+let both models =
+  let rc, ri = racecheck models and xc, xi = exnflow models in
+  ((rc, xc), ri @ xi)
+
+(* Parse errors and bad/dangling annotations, reported once per file
+   whichever analyzers run: they share the directive grammar, so a bad
+   @cleanup_ok must fail racecheck as much as exnflow. *)
+let hygiene (f : Model.file) =
+  let items = ref [] in
+  Option.iter
+    (Model.emit items f.path 1 `E "src-parse-error" "could not parse: %s")
+    f.parse_error;
+  List.iter
+    (fun (i : Model.issue) ->
+      let sev, code =
+        match i.isev with
+        | `Error -> (`E, "src-bad-annotation")
+        | `Warning -> (`W, "src-dangling-annotation")
+      in
+      Model.emit items f.path i.iline sev code "%s" i.itext)
+    f.issues;
+  !items
+
+let sort_items items =
+  let key i =
+    ( Finding.rank i.finding.Finding.severity, i.file, i.line,
+      i.finding.Finding.code, i.finding.Finding.message )
+  in
+  List.sort (fun a b -> compare (key a) (key b)) items
+
+let analyze_files check paths =
+  let models = List.map Model.load (List.sort compare paths) in
+  let counts, items = check models in
+  { files = List.map (fun (f : Model.file) -> f.path) models;
+    counts;
+    items = sort_items (List.concat_map hygiene models @ items) }
 
 let ml_files_under root =
   let out = ref [] in
@@ -80,8 +101,7 @@ let ml_files_under root =
   if Sys.file_exists root && Sys.is_directory root then go root;
   List.rev !out
 
-let analyze_tree ?registry ~root () =
-  analyze_files ?registry (ml_files_under root)
+let analyze_tree check ~root = analyze_files check (ml_files_under root)
 
 let find_default_root () =
   let rec up dir n =
@@ -99,150 +119,56 @@ let errors r =
 
 let exit_code r = if errors r <> [] then 1 else 0
 
-let render r =
+let render name header r =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "racecheck: %d files, %d locks, %d states, %d lock-order edges\n"
-       (List.length r.files) (List.length r.locks) r.states
-       (List.length r.edges));
+  Printf.bprintf b "%s: %d files, %s\n" name (List.length r.files)
+    (header r.counts);
   List.iter
     (fun i ->
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d: %s\n" i.file i.line
-           (Finding.to_string i.finding)))
+      Printf.bprintf b "%s:%d: %s\n" i.file i.line
+        (Finding.to_string i.finding))
     r.items;
-  let errs = List.length (errors r) in
-  Buffer.add_string b
-    (Printf.sprintf "racecheck: %d findings (%d errors)\n"
-       (List.length r.items) errs);
+  Printf.bprintf b "%s: %d findings (%d errors)\n" name (List.length r.items)
+    (List.length (errors r));
   Buffer.contents b
 
-(* ---- exception-flow report (reoptdb exnflow) ---- *)
+let render_race =
+  render "racecheck" (fun c ->
+      Printf.sprintf "%d locks, %d states, %d lock-order edges"
+        (List.length c.locks) c.states (List.length c.edges))
 
-type exn_report = {
-  xfiles : string list;
-  xresources : int;
-  xfunctions : int;
-  xsummaries : (string * Exnflow.sinfo) list;
-  xitems : item list;
-}
+let render_exnflow =
+  render "exnflow" (fun c ->
+      Printf.sprintf "%d functions summarized, %d tracked acquisitions"
+        c.functions c.resources)
 
-let analyze_exnflow_models ?handlers ?pinned (models : Model.file list) =
-  let r = Exnflow.check ?handlers ?pinned models in
-  (* parse / annotation problems surface here too: exnflow shares the
-     directive grammar with racecheck, so a bad @cleanup_ok must fail both *)
-  let hygiene =
-    List.concat_map
-      (fun (f : Model.file) ->
-        let parse =
-          match f.parse_error with
-          | Some msg ->
-            [ { file = f.path; line = 1;
-                finding =
-                  Finding.error ~code:"src-parse-error"
-                    (Printf.sprintf "could not parse: %s" msg) } ]
-          | None -> []
-        in
-        parse
-        @ List.map
-            (fun (i : Model.issue) ->
-              let mk =
-                match i.isev with
-                | `Error -> Finding.error ~code:"src-bad-annotation"
-                | `Warning -> Finding.warning ~code:"src-dangling-annotation"
-              in
-              { file = f.path; line = i.iline; finding = mk i.itext })
-            f.issues)
-      models
+let to_json fields r =
+  let finding i =
+    Json.Obj
+      [ ("file", Json.Str i.file);
+        ("line", Json.Int i.line);
+        ( "severity",
+          Json.Str (Finding.severity_name i.finding.Finding.severity) );
+        ("code", Json.Str i.finding.Finding.code);
+        ("message", Json.Str i.finding.Finding.message) ]
   in
-  let items =
-    hygiene
-    @ List.map
-        (fun (l : Exnflow.located) ->
-          { file = l.lfile; line = l.lline; finding = l.lfinding })
-        r.items
-    |> sort_items
-  in
-  { xfiles =
-      List.sort compare (List.map (fun (f : Model.file) -> f.path) models);
-    xresources = r.resources;
-    xfunctions = List.length r.summaries;
-    xsummaries = r.summaries;
-    xitems = items }
-
-let analyze_exnflow_files ?handlers ?pinned paths =
-  analyze_exnflow_models ?handlers ?pinned
-    (List.map Model.load (List.sort compare paths))
-
-let analyze_exnflow_tree ?handlers ?pinned ~root () =
-  analyze_exnflow_files ?handlers ?pinned (ml_files_under root)
-
-let exn_errors r =
-  List.filter (fun i -> i.finding.Finding.severity = Finding.Error) r.xitems
-
-let exn_exit_code r = if exn_errors r <> [] then 1 else 0
-
-let render_exnflow r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "exnflow: %d files, %d functions summarized, %d tracked acquisitions\n"
-       (List.length r.xfiles) r.xfunctions r.xresources);
-  List.iter
-    (fun i ->
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d: %s\n" i.file i.line
-           (Finding.to_string i.finding)))
-    r.xitems;
-  Buffer.add_string b
-    (Printf.sprintf "exnflow: %d findings (%d errors)\n"
-       (List.length r.xitems)
-       (List.length (exn_errors r)));
-  Buffer.contents b
-
-let exnflow_to_json r =
   Json.Obj
-    [ ("files", Json.Int (List.length r.xfiles));
-      ("functions", Json.Int r.xfunctions);
-      ("resources", Json.Int r.xresources);
-      ( "findings",
-        Json.List
-          (List.map
-             (fun i ->
-               Json.Obj
-                 [ ("file", Json.Str i.file);
-                   ("line", Json.Int i.line);
-                   ( "severity",
-                     Json.Str
-                       (Finding.severity_name i.finding.Finding.severity) );
-                   ("code", Json.Str i.finding.Finding.code);
-                   ("message", Json.Str i.finding.Finding.message) ])
-             r.xitems) );
-      ("errors", Json.Int (List.length (exn_errors r))) ]
+    ((("files", Json.Int (List.length r.files)) :: fields r.counts)
+    @ [ ("findings", Json.List (List.map finding r.items));
+        ("errors", Json.Int (List.length (errors r))) ])
 
-let to_json r =
-  Json.Obj
-    [ ("files", Json.Int (List.length r.files));
-      ("locks", Json.List (List.map (fun l -> Json.Str l) r.locks));
-      ("states", Json.Int r.states);
-      ( "edges",
-        Json.List
-          (List.map
-             (fun (a, b) ->
-               Json.Obj [ ("from", Json.Str a); ("to", Json.Str b) ])
-             r.edges) );
-      ( "findings",
-        Json.List
-          (List.map
-             (fun i ->
-               Json.Obj
-                 [ ("file", Json.Str i.file);
-                   ("line", Json.Int i.line);
-                   ( "severity",
-                     Json.Str
-                       (Finding.severity_name i.finding.Finding.severity) );
-                   ("code", Json.Str i.finding.Finding.code);
-                   ("message", Json.Str i.finding.Finding.message) ])
-             r.items) );
-      ("errors", Json.Int (List.length (errors r))) ]
+let race_to_json =
+  to_json (fun c ->
+      [ ("locks", Json.List (List.map (fun l -> Json.Str l) c.locks));
+        ("states", Json.Int c.states);
+        ( "edges",
+          Json.List
+            (List.map
+               (fun (a, b) ->
+                 Json.Obj [ ("from", Json.Str a); ("to", Json.Str b) ])
+               c.edges) ) ])
+
+let exnflow_to_json =
+  to_json (fun c ->
+      [ ("functions", Json.Int c.functions);
+        ("resources", Json.Int c.resources) ])

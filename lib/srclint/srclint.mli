@@ -1,28 +1,62 @@
-(** Entry point of the source-level concurrency analyzer: the fourth
-    static-analysis layer (query -> plan -> sensitivity -> source). Loads
-    [.ml] files, runs {!Lockcheck} and {!Registry}, and renders a stable,
-    deterministically sorted report suitable for CI diffs. *)
+(** Entry point of the source-level analyzers: the fourth static-analysis
+    layer (query -> plan -> sensitivity -> source). Loads and parses [.ml]
+    files once, runs {!Lockcheck} + {!Registry} (racecheck), {!Exnflow}, or
+    both over the same models, and renders a stable, deterministically
+    sorted report suitable for CI diffs. *)
 
-type item = {
+type item = Model.item = {
   file : string;
   line : int;
   finding : Rdb_analysis.Finding.t;
 }
 
-type report = {
-  files : string list;  (** analyzed paths, sorted *)
+type race_counts = {
   locks : string list;  (** qualified lock names, sorted *)
   states : int;  (** number of declared/detected shared-state names *)
   edges : (string * string) list;  (** lock acquisition-order graph *)
-  items : item list;  (** findings: errors first, then file/line *)
 }
 
-val analyze_files :
-  ?registry:Registry.entry list -> string list -> report
-(** Analyze exactly these files. [registry] defaults to
-    {!Registry.default}; pass [~registry:[]] for synthetic trees. *)
+type exn_counts = {
+  functions : int;  (** functions with a summary *)
+  resources : int;  (** tracked acquisition sites *)
+  summaries : (string * Exnflow.sinfo) list;  (** ["base.fn"], sorted *)
+}
 
-val analyze_tree : ?registry:Registry.entry list -> root:string -> unit -> report
+type 'c report = {
+  files : string list;  (** analyzed paths, sorted *)
+  counts : 'c;  (** the analyzer's own inventory *)
+  items : item list;
+      (** findings, errors first, then file/line: each file's parse error
+          and annotation issues once, then every analyzer's findings *)
+}
+
+(** {1 Analyzers} *)
+
+val racecheck :
+  ?registry:Registry.entry list -> Model.file list -> race_counts * item list
+(** Concurrency safety. [registry] defaults to {!Registry.default}; pass
+    [~registry:[]] for synthetic trees. *)
+
+val exnflow :
+  ?handlers:Exnflow.handler_entry list ->
+  ?pinned:string list ->
+  Model.file list ->
+  exn_counts * item list
+(** Exception flow. Defaults to {!Exnflow.default_handlers} /
+    {!Exnflow.default_pinned}; pass [~handlers:[] ~pinned:[]] for synthetic
+    trees. *)
+
+val both : Model.file list -> (race_counts * exn_counts) * item list
+(** Both analyzers with their default registries. *)
+
+(** {1 Running} *)
+
+val analyze_files :
+  (Model.file list -> 'c * item list) -> string list -> 'c report
+(** Load and parse exactly these files, then run the analyzer over them. *)
+
+val analyze_tree :
+  (Model.file list -> 'c * item list) -> root:string -> 'c report
 (** Analyze every [.ml] under [root] (skips [_build]/[.git]). *)
 
 val ml_files_under : string -> string list
@@ -31,44 +65,17 @@ val find_default_root : unit -> string option
 (** Walk up from the cwd looking for the repo root (identified by
     [lib/util/pool.ml]); returns the [lib] directory to analyze. *)
 
-val errors : report -> item list
+(** {1 Reporting} *)
 
-val exit_code : report -> int
+val errors : _ report -> item list
+
+val exit_code : _ report -> int
 (** 0 clean, 1 if any error-severity finding. *)
 
-val render : report -> string
+val render_race : race_counts report -> string
 
-val to_json : report -> Rdb_obs.Json.t
+val render_exnflow : exn_counts report -> string
 
-(** {1 Exception-flow report ([reoptdb exnflow])} *)
+val race_to_json : race_counts report -> Rdb_obs.Json.t
 
-type exn_report = {
-  xfiles : string list;  (** analyzed paths, sorted *)
-  xresources : int;  (** tracked acquisition sites *)
-  xfunctions : int;  (** functions with a summary *)
-  xsummaries : (string * Exnflow.sinfo) list;  (** ["base.fn"], sorted *)
-  xitems : item list;  (** findings: errors first, then file/line *)
-}
-
-val analyze_exnflow_files :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  string list ->
-  exn_report
-(** Defaults to {!Exnflow.default_handlers} / {!Exnflow.default_pinned};
-    pass [~handlers:[] ~pinned:[]] for synthetic trees. *)
-
-val analyze_exnflow_tree :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  root:string ->
-  unit ->
-  exn_report
-
-val exn_errors : exn_report -> item list
-
-val exn_exit_code : exn_report -> int
-
-val render_exnflow : exn_report -> string
-
-val exnflow_to_json : exn_report -> Rdb_obs.Json.t
+val exnflow_to_json : exn_counts report -> Rdb_obs.Json.t

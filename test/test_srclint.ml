@@ -31,7 +31,7 @@ let write_tree sources =
     sources
 
 let analyze sources =
-  Srclint.analyze_files ~registry:[] (write_tree sources)
+  Srclint.analyze_files (Srclint.racecheck ~registry:[]) (write_tree sources)
 
 let codes report =
   List.map (fun (i : Srclint.item) -> i.finding.Finding.code) report.Srclint.items
@@ -205,6 +205,28 @@ let mu = Mutex.create ()
 let n = ref 0
 |} ) ]
 
+(* ---- one report over both analyzers ---- *)
+
+let combined_bad_annotation_once () =
+  (* racecheck and exnflow share the directive grammar; the combined
+     report parses the file once and lists its annotation issue once *)
+  let r =
+    Srclint.analyze_files Srclint.both
+      (write_tree
+         [ ( "m.ml",
+             {|
+let mu = Mutex.create ()
+
+(* @guardedby mu *)
+let n = ref 0
+|} ) ])
+  in
+  check Alcotest.int
+    (Printf.sprintf "src-bad-annotation listed once (got: %s)"
+       (String.concat ", " (codes r)))
+    1
+    (List.length (List.filter (( = ) "src-bad-annotation") (codes r)))
+
 (* ---- non-findings: the analyzer must stay silent on sound patterns ---- *)
 
 let clean_patterns () =
@@ -282,7 +304,7 @@ let real_tree_root () =
   | None -> Alcotest.fail "cannot locate lib/ from the test runtime dir"
 
 let real_tree_is_clean () =
-  let r = Srclint.analyze_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.racecheck ~root:(real_tree_root ()) in
   let errs =
     List.map
       (fun (i : Srclint.item) ->
@@ -293,18 +315,18 @@ let real_tree_is_clean () =
   check Alcotest.int "clean tree exit code" 0 (Srclint.exit_code r)
 
 let real_tree_inventory () =
-  let r = Srclint.analyze_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.racecheck ~root:(real_tree_root ()) in
   List.iter
     (fun l ->
       check Alcotest.bool (l ^ " registered as a lock") true
-        (List.mem l r.Srclint.locks))
+        (List.mem l r.Srclint.counts.Srclint.locks))
     [ "pool.mu"; "pool.fmu"; "plan_cache.mu"; "service.state_mu";
       "service.serial_mu"; "metrics.smu"; "metrics.registry_mu"; "trace.mu";
       "frontend.rmu" ];
   check Alcotest.bool "inline submission orders serial_mu before pool.mu" true
-    (List.mem ("service.serial_mu", "pool.mu") r.Srclint.edges);
+    (List.mem ("service.serial_mu", "pool.mu") r.Srclint.counts.Srclint.edges);
   check Alcotest.bool "cache hits bump metrics under the cache lock" true
-    (List.mem ("plan_cache.mu", "metrics.smu") r.Srclint.edges)
+    (List.mem ("plan_cache.mu", "metrics.smu") r.Srclint.counts.Srclint.edges)
 
 let () =
   Alcotest.run "rdb_srclint"
@@ -327,6 +349,11 @@ let () =
             mutant_requires_violation;
           Alcotest.test_case "unknown directive" `Quick
             mutant_unknown_directive;
+        ] );
+      ( "combined",
+        [
+          Alcotest.test_case "bad annotation reported once" `Quick
+            combined_bad_annotation_once;
         ] );
       ( "clean",
         [
