@@ -3,6 +3,7 @@ module Int_vec = Rdb_util.Int_vec
 module Query = Rdb_query.Query
 module Join_graph = Rdb_query.Join_graph
 module Predicate = Rdb_query.Predicate
+module Metrics = Rdb_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Two engines compute true cardinalities.
@@ -31,8 +32,20 @@ type inter = {
   inter_rows : int;
 }
 
+(* Message maps are keyed by join-key values: surrogate ids, hashed by a
+   multiplicative mix rather than the polymorphic [Hashtbl.hash]. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
 (* message maps: join-key value -> number of consistent join tuples *)
-type msg_map = (int, float) Hashtbl.t
+type msg_map = float Int_tbl.t
 
 type t = {
   catalog : Catalog.t;
@@ -46,6 +59,7 @@ type t = {
   (* class-tree machinery *)
   tree : bool;                         (* class graph is acyclic *)
   ports : (int * int) list array;      (* per rel: (class, col) pairs *)
+  root_dist : int array;               (* per rel: hops from the root *)
   msg_single_memo : (Relset.t * int, msg_map) Hashtbl.t;
   msg_set_memo : (Relset.t * int, msg_map) Hashtbl.t;
 }
@@ -117,6 +131,31 @@ let analyze_classes (q : Query.t) =
     ports;
   (!acyclic, ports)
 
+(* Breadth-first distance of every relation from relation 0, the fixed
+   root the tree engine anchors at, two relations being adjacent when they
+   share a join class. *)
+let root_distances ports =
+  let n = Array.length ports in
+  let dist = Array.make n max_int in
+  let queue = Queue.create () in
+  if n > 0 then begin
+    dist.(0) <- 0;
+    Queue.add 0 queue
+  end;
+  while not (Queue.is_empty queue) do
+    let r = Queue.pop queue in
+    Array.iteri
+      (fun r' ps ->
+        if dist.(r') = max_int
+           && List.exists (fun (cls, _) -> List.mem_assoc cls ps) ports.(r)
+        then begin
+          dist.(r') <- dist.(r) + 1;
+          Queue.add r' queue
+        end)
+      ports
+  done;
+  dist
+
 let create catalog q =
   let tree, ports = analyze_classes q in
   {
@@ -130,6 +169,7 @@ let create catalog q =
     materialized_rows = 0;
     tree;
     ports;
+    root_dist = root_distances ports;
     msg_single_memo = Hashtbl.create 64;
     msg_set_memo = Hashtbl.create 64;
   }
@@ -209,26 +249,33 @@ let product_maps maps =
   | [ m ] -> Some m
   | _ ->
     let sorted =
-      List.sort (fun a b -> Int.compare (Hashtbl.length a) (Hashtbl.length b)) maps
+      List.sort
+        (fun a b -> Int.compare (Int_tbl.length a) (Int_tbl.length b))
+        maps
     in
     (match sorted with
      | smallest :: rest ->
-       let out : msg_map = Hashtbl.create (Hashtbl.length smallest) in
-       Hashtbl.iter
+       let out : msg_map = Int_tbl.create (Int_tbl.length smallest) in
+       Int_tbl.iter
          (fun v w ->
            let acc = ref w in
            let alive =
              List.for_all
                (fun m ->
-                 match Hashtbl.find_opt m v with
+                 match Int_tbl.find_opt m v with
                  | Some w' -> acc := !acc *. w'; true
                  | None -> false)
                rest
            in
-           if alive then Hashtbl.replace out v !acc)
+           if alive then Int_tbl.replace out v !acc)
          smallest;
        Some out
      | [] -> None)
+
+let int_cells t rel col =
+  match Table.column (rel_table t rel) col with
+  | Column.Ints cells -> cells
+  | Column.Strs _ -> invalid_arg "Oracle: join column is not an integer column"
 
 (* msg_set (B, c): number of join tuples of B per value of class c, where
    B may split into several independent branches once c is cut. *)
@@ -241,7 +288,7 @@ let rec msg_set t b ~cls =
     let m =
       match product_maps maps with
       | Some m -> m
-      | None -> Hashtbl.create 1
+      | None -> Int_tbl.create 1
     in
     Hashtbl.replace t.msg_set_memo (b, cls) m;
     m
@@ -259,129 +306,69 @@ and msg_single t comp ~cls =
       | [ h ] -> h
       | _ -> invalid_arg "Oracle: class graph is not a tree"
     in
-    let out_col =
-      match port_col t hub cls with Some c -> c | None -> assert false
+    let out =
+      match port_col t hub cls with
+      | Some col -> int_cells t hub col
+      | None -> assert false
     in
-    let rest = Relset.remove hub comp in
-    (* Branches of [rest], grouped by the hub port class they hang on. *)
-    let branches =
-      List.map
-        (fun sub ->
-          let attach =
-            List.find_map
-              (fun (c', _) ->
-                if c' <> cls && touches_class t sub c' then Some c' else None)
-              t.ports.(hub)
-          in
-          match attach with
-          | Some c' -> (c', sub)
-          | None -> invalid_arg "Oracle: dangling branch (not a tree)")
-        (components_without t rest ~cut:(-1))
-    in
-    let constrained =
-      List.filter_map
-        (fun (c', col') ->
-          if c' = cls then None
-          else begin
-            let subs =
-              List.filter_map
-                (fun (ca, sub) -> if ca = c' then Some sub else None)
-                branches
-            in
-            match subs with
-            | [] -> None
-            | _ ->
-              let union = List.fold_left Relset.union Relset.empty subs in
-              Some (col', msg_set t union ~cls:c')
-          end)
-        t.ports.(hub)
-    in
-    let tbl = rel_table t hub in
-    let m : msg_map = Hashtbl.create 1024 in
-    Array.iter
-      (fun row ->
-        let v = Table.int_cell tbl ~row ~col:out_col in
-        if v <> Column.null_int then begin
-          let w = ref 1.0 in
-          let alive =
-            List.for_all
-              (fun (col', map) ->
-                let key = Table.int_cell tbl ~row ~col:col' in
-                key <> Column.null_int
-                &&
-                match Hashtbl.find_opt map key with
-                | Some w' -> w := !w *. w'; true
-                | None -> false)
-              constrained
-          in
-          if alive then
-            Hashtbl.replace m v
-              (!w +. Option.value ~default:0.0 (Hashtbl.find_opt m v))
-        end)
-      (filtered_rowids t hub);
+    let m : msg_map = Int_tbl.create 1024 in
+    scan t hub (Relset.remove hub comp) (fun row w ->
+        let v = out.(row) in
+        if v <> Column.null_int then
+          Int_tbl.replace m v
+            (w +. Option.value ~default:0.0 (Int_tbl.find_opt m v)));
     Hashtbl.replace t.msg_single_memo (comp, cls) m;
     m
 
-(* Cardinality via the tree engine: anchor at the relation with the fewest
-   filtered rows and multiply in the branch messages per row. *)
-let card_tree t s =
-  let members = Relset.to_list s in
-  let anchor =
-    List.fold_left
-      (fun best i ->
-        match best with
-        | None -> Some i
-        | Some b -> if base_rows t i < base_rows t b then Some i else best)
-      None members
-  in
-  let anchor = match anchor with Some a -> a | None -> assert false in
-  let rest = Relset.remove anchor s in
-  let branches =
-    List.map
-      (fun sub ->
-        let attach =
-          List.find_map
-            (fun (c', _) -> if touches_class t sub c' then Some c' else None)
-            t.ports.(anchor)
-        in
-        match attach with
-        | Some c' -> (c', sub)
-        | None -> invalid_arg "Oracle: subset not connected through anchor")
-      (components_without t rest ~cut:(-1))
-  in
+(* The kernel: visit [hub]'s filtered rows, each weighted by the product of
+   the messages [rest] (the rest of a connected set containing [hub]) sends
+   in; rows a message does not cover drop out. Each branch of [rest] hangs
+   on exactly one hub port class: touching two would close a cycle in the
+   class tree, and two branches on one class would be a single component. *)
+and scan t hub rest f =
   let constrained =
-    List.filter_map
-      (fun (c', col') ->
-        let subs =
-          List.filter_map
-            (fun (ca, sub) -> if ca = c' then Some sub else None)
-            branches
-        in
-        match subs with
-        | [] -> None
-        | _ ->
-          let union = List.fold_left Relset.union Relset.empty subs in
-          Some (col', msg_set t union ~cls:c'))
-      t.ports.(anchor)
+    Array.of_list
+      (List.map
+         (fun sub ->
+           match
+             List.find_opt (fun (c, _) -> touches_class t sub c) t.ports.(hub)
+           with
+           | Some (c, col) -> (int_cells t hub col, msg_set t sub ~cls:c)
+           | None -> invalid_arg "Oracle: dangling branch (not a tree)")
+         (components_without t rest ~cut:(-1)))
   in
-  let tbl = rel_table t anchor in
-  let total = ref 0.0 in
+  let rows = filtered_rowids t hub in
+  Metrics.incr ~by:(Array.length rows) "oracle.rows";
+  let k = Array.length constrained in
   Array.iter
     (fun row ->
-      let w = ref 1.0 in
-      let alive =
-        List.for_all
-          (fun (col', map) ->
-            let key = Table.int_cell tbl ~row ~col:col' in
-            key <> Column.null_int
-            &&
-            match Hashtbl.find_opt map key with
-            | Some w' -> w := !w *. w'; true
-            | None -> false)
-          constrained
-      in
-      if alive then total := !total +. !w)
-    (filtered_rowids t anchor);
+      let w = ref 1.0 and i = ref 0 in
+      while !i < k do
+        let cells, map = constrained.(!i) in
+        let key = cells.(row) in
+        match
+          if key = Column.null_int then None else Int_tbl.find_opt map key
+        with
+        | Some w' -> w := !w *. w'; incr i
+        | None -> w := 0.0; i := k
+      done;
+      (* message weights are counts >= 1, so 0 marks a dropped row *)
+      if !w > 0.0 then f row !w)
+    rows
+
+(* Cardinality via the tree engine: anchor at the member of [s] nearest the
+   fixed root (ties to the lower index), so every message points away from
+   the root and the plan's nested node sets share their memo entries. *)
+let card_tree t s =
+  let anchor =
+    Relset.fold
+      (fun i best ->
+        if best < 0 || t.root_dist.(i) < t.root_dist.(best) then i else best)
+      s (-1)
+  in
+  let total = ref 0.0 in
+  scan t anchor (Relset.remove anchor s) (fun _ w ->
+      total := !total +. w);
   !total
 
 (* ---- materialization engine (fallback for non-tree class graphs) ---- *)
@@ -508,6 +495,7 @@ let rec tuples_of t s =
 (* ---- public interface ---- *)
 
 let compute_card t s =
+  Metrics.incr "oracle.cards";
   if t.tree then begin
     let v = card_tree t s in
     let card = int_of_float (Float.round v) in

@@ -4,9 +4,20 @@
 
     This is what the paper extracts from [EXPLAIN ANALYZE] (for the
     re-optimization trigger) and what it injects into the optimizer for the
-    perfect-(n) experiments. Sub-joins are materialized bottom-up, projected
-    onto their "boundary" join columns only, and cached; cardinalities are
-    cached permanently, tuple buffers only while the next layer is built. *)
+    perfect-(n) experiments.
+
+    Counting is sum-product message passing over the query's
+    join-attribute class tree, with no intermediate materialized. A count
+    anchors at the set's member nearest a fixed root (relation 0), so every
+    message points away from the root and the memoized messages are reused
+    across a plan's nested node sets. Queries whose class graph is cyclic
+    fall back to materializing sub-joins bottom-up, projected onto their
+    "boundary" join columns. Cardinalities are cached for the oracle's
+    lifetime; [Reopt.run] keeps the original query's oracle for every step
+    of a run, mapping temp tables back to the relations they stand for.
+
+    Counters: [oracle.cards] counts cardinalities computed (cache misses),
+    [oracle.rows] the rows the sum-product kernel visits. *)
 
 module Relset = Rdb_util.Relset
 module Query := Rdb_query.Query

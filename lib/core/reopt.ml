@@ -160,8 +160,7 @@ let rewrite (q : Query.t) ~set ~temp_name ~temp_cols =
    remaining tie (equal size at equal depth, necessarily in disjoint
    subtrees) by post-order position — a deterministic choice however many
    joins of the same size trip. *)
-let find_trigger prepared plan (trigger : Trigger.t) =
-  let oracle = Session.oracle prepared in
+let find_trigger_by ~true_card plan (trigger : Trigger.t) =
   let best = ref None in
   let rec walk depth node =
     match node with
@@ -174,7 +173,7 @@ let find_trigger prepared plan (trigger : Trigger.t) =
       walk (depth + 1) j.Plan.inner;
       let set = Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner) in
       let est = j.Plan.join_est in
-      let actual = float_of_int (Oracle.true_card oracle set) in
+      let actual = float_of_int (true_card set) in
       if Trigger.fires trigger ~est ~actual then begin
         let size = Relset.cardinal set in
         let better =
@@ -190,6 +189,9 @@ let find_trigger prepared plan (trigger : Trigger.t) =
   in
   walk 0 plan;
   Option.map (fun (j, set, est, q_err, _depth) -> (j, set, est, q_err)) !best
+
+let find_trigger prepared =
+  find_trigger_by ~true_card:(Oracle.true_card (Session.oracle prepared))
 
 let temp_schema session (q : Query.t) temp_cols =
   let catalog = Session.catalog session in
@@ -248,12 +250,21 @@ let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
      over phases of (live temp cells + the phase executor's peak). *)
   let live_slots = ref 0 in
   let peak = ref 0 in
+  (* One oracle answers every step's trigger check: a temp table is a
+     bag-exact materialization, so a rewritten query's join node over [set]
+     has exactly the true cardinality of [map_set origin set] in q0, and
+     the counts and messages memoized for earlier steps carry over. *)
+  let prepared0 =
+    match initial with
+    | Some p when Session.query p == q0 -> p
+    | Some _ | None -> Session.prepare session q0
+  in
+  let oracle0 = Session.oracle prepared0 in
   let rec loop q origin steps plan_times step_count =
     let prepared =
-      match initial with
-      | Some p when step_count = 0 && Session.query p == q -> p
-      | Some _ | None -> Session.prepare session q
+      if step_count = 0 then prepared0 else Session.prepare session q
     in
+    let true_card set = Oracle.true_card oracle0 (map_set origin set) in
     let plan, pstats, _estimator =
       if step_count = 0 then Session.plan ~lint prepared ~mode
       else
@@ -263,7 +274,8 @@ let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
     in
     let plan_times = pstats.Rdb_plan.Optimizer.plan_ms :: plan_times in
     let trigger_hit =
-      if step_count >= max_steps then None else find_trigger prepared plan trigger
+      if step_count >= max_steps then None
+      else find_trigger_by ~true_card plan trigger
     in
     match trigger_hit with
     | None ->

@@ -64,7 +64,10 @@ val run :
   outcome
 (** Run the full re-optimization loop. [mode] is the estimator used for
     (re-)planning, so re-optimization composes with perfect-(n) as in
-    Figure 8. [cleanup] (default true) drops the temporary tables from the
+    Figure 8. Every step's trigger check is answered by the original
+    query's oracle, each rewritten relation mapped back to the relations
+    it stands for (exact: a temp table is a bag-exact materialization), so
+    counts memoized at one step serve the next. [cleanup] (default true) drops the temporary tables from the
     catalog afterwards; [~cleanup:false] keeps them only for a run that
     returns — an aborted run always drops its temps, since the caller
     never learns their names. [max_steps] (default 32) bounds the loop.

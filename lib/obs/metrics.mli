@@ -11,7 +11,8 @@
     [plan.ms] distribution from the optimizer; [exec.queries],
     [exec.work], [exec.switches], [exec.budget_aborts] and
     [exec.deadline_aborts] from the executor; [reopt.steps] and
-    [reopt.temp_rows] from the re-optimization loop. *)
+    [reopt.temp_rows] from the re-optimization loop; [oracle.cards] and
+    [oracle.rows] from the true-cardinality oracle. *)
 
 type stat = { count : int; sum : float; min : float; max : float }
 

@@ -7,6 +7,15 @@ val build : ?slots:int -> Value.t list -> t
 (** Count the (non-NULL) input values and keep the [slots] most frequent
     (default 100). A value must occur at least twice to be kept. *)
 
+val of_sorted :
+  ?slots:int -> equal:('a -> 'a -> bool) -> box:('a -> Value.t) -> 'a array ->
+  int * t
+(** [of_sorted ~equal ~box sorted] is {!build} over the non-NULL values
+    [sorted], already ascending in the order {!Value.compare} gives their
+    boxed forms, paired with their number of distinct values. Counts runs
+    of [equal] values in one pass and boxes only the values occurring at
+    least twice. *)
+
 val empty : t
 
 val entries : t -> (Value.t * float) list

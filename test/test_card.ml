@@ -145,21 +145,28 @@ let test_oracle_matches_execution () =
 
 let test_oracle_node_cards_match_execution () =
   (* Every per-node actual row count observed during execution must equal
-     the oracle's prediction for that node's relation set. *)
+     the oracle's prediction for that node's relation set, on every JOB
+     query: the plan's nested node sets are exactly the ones whose
+     memoized messages the root-anchored engine shares. *)
   let catalog = small_catalog () in
   let session = Rdb_core.Session.create catalog in
   Rdb_core.Session.analyze session;
-  let q = Rdb_imdb.Job_queries.find catalog "16b" in
-  let prepared = Rdb_core.Session.prepare session q in
-  let plan, _, _ = Rdb_core.Session.plan prepared ~mode:Estimator.Default in
-  let res = Rdb_core.Session.execute prepared plan in
-  let oracle = Rdb_core.Session.oracle prepared in
   List.iter
-    (fun (obs : Rdb_exec.Executor.node_obs) ->
-      check Alcotest.int "node actual = oracle"
-        obs.Rdb_exec.Executor.obs_actual
-        (Oracle.true_card oracle obs.Rdb_exec.Executor.obs_set))
-    res.Rdb_exec.Executor.observations
+    (fun q ->
+      let prepared = Rdb_core.Session.prepare session q in
+      let plan, _, _ =
+        Rdb_core.Session.plan prepared ~mode:Estimator.Default
+      in
+      let res = Rdb_core.Session.execute prepared plan in
+      let oracle = Rdb_core.Session.oracle prepared in
+      List.iter
+        (fun (obs : Rdb_exec.Executor.node_obs) ->
+          check Alcotest.int
+            (q.Query.name ^ " node actual = oracle")
+            obs.Rdb_exec.Executor.obs_actual
+            (Oracle.true_card oracle obs.Rdb_exec.Executor.obs_set))
+        res.Rdb_exec.Executor.observations)
+    (Rdb_imdb.Job_queries.all catalog)
 
 let test_oracle_tree_engine_used () =
   let catalog = small_catalog () in

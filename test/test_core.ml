@@ -608,6 +608,71 @@ let test_feedback_gate_blocks_fragile () =
     (gated (set [ 0; 3 ]) = Some 70.0);
   check Alcotest.bool "misses stay misses" true (gated (set [ 5 ]) = None)
 
+(* ---- step replay: one oracle per run ---- *)
+
+(* [Reopt.run] answers every step's trigger check with the original query's
+   oracle, mapping temp tables back to the relations they materialized.
+   Replaying each step's input query with a fresh prepare — its own oracle
+   over the temp tables, as a per-step oracle would — must pick the same
+   join with the same estimate and Q-error, and the final query must not
+   trip the trigger. The shared oracle must also count fewer cardinalities
+   ([oracle.cards]) than the per-step oracles of the replay. *)
+let test_reopt_step_replay () =
+  let catalog, base = make_session 0.02 in
+  let trigger = Trigger.create 32.0 in
+  let replayed = ref 0 in
+  let cards () =
+    Rdb_obs.Metrics.counter (Rdb_obs.Metrics.snapshot ()) "oracle.cards"
+  in
+  let run_cards = ref 0 and replay_cards = ref 0 in
+  List.iter
+    (fun q0 ->
+      let session = Session.with_stats_of base in
+      let before_run = cards () in
+      let o =
+        Reopt.run ~cleanup:false session ~trigger ~mode:Estimator.Default q0
+      in
+      let before_replay = cards () in
+      run_cards := !run_cards + (before_replay - before_run);
+      let pick q =
+        let prepared = Session.prepare session q in
+        let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
+        Reopt.find_trigger prepared plan trigger
+      in
+      let name = q0.Query.name in
+      let final =
+        List.fold_left
+          (fun q (s : Reopt.step) ->
+            (match pick q with
+             | None -> Alcotest.failf "%s: replay found no trigger" name
+             | Some (_, set, est, q_err) ->
+               check Alcotest.bool (name ^ " materialized_set") true
+                 (Relset.equal set s.Reopt.materialized_set);
+               check (Alcotest.float 0.0) (name ^ " trigger_est")
+                 s.Reopt.trigger_est est;
+               check (Alcotest.float 0.0) (name ^ " trigger_q_error")
+                 s.Reopt.trigger_q_error q_err);
+            incr replayed;
+            s.Reopt.query_after)
+          q0 o.Reopt.steps
+      in
+      check Alcotest.bool (name ^ " final query does not trip") true
+        (pick final = None);
+      replay_cards := !replay_cards + (cards () - before_replay);
+      List.iter
+        (fun (s : Reopt.step) ->
+          Catalog.drop_table (Session.catalog session) s.Reopt.temp_name;
+          Rdb_stats.Db_stats.drop (Session.stats session)
+            ~table:s.Reopt.temp_name)
+        o.Reopt.steps)
+    (Rdb_imdb.Job_queries.all catalog);
+  check Alcotest.bool "some steps replayed" true (!replayed > 0);
+  check Alcotest.bool
+    (Printf.sprintf "shared oracle counts %d < per-step %d" !run_cards
+       !replay_cards)
+    true
+    (!run_cards < !replay_cards)
+
 let () =
   Alcotest.run "rdb_core"
     [
@@ -675,5 +740,7 @@ let () =
           Alcotest.test_case "max steps" `Quick test_reopt_max_steps;
           Alcotest.test_case "composes with perfect-(n)" `Quick
             test_reopt_composes_with_perfect;
+          Alcotest.test_case "step replay matches per-step oracles" `Quick
+            test_reopt_step_replay;
         ] );
     ]

@@ -255,6 +255,182 @@ let test_db_stats_groups () =
   check Alcotest.bool "dropped with table" true
     (Db_stats.group store ~table:"corr" ~cols:(0, 1) = None)
 
+(* ---- ANALYZE equivalence against the hashtable/list reference ---- *)
+
+(* The implementation [Analyze.column] had before it went to one sort per
+   column: a hashtable of distinct values, every value boxed into a
+   [Value.t list] for hash-counted MCVs, and a separate sorted copy for the
+   histogram. The single-sort version must produce the same statistics. *)
+type reference = {
+  r_rows : int;
+  r_null_frac : float;
+  r_distinct : int;
+  r_min : int option;
+  r_max : int option;
+  r_mcv : (Value.t * float) list;
+  r_mcv_total : float;
+  r_bounds : int array option;
+}
+
+let reference_mcv ~slots values =
+  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
+  let n = List.length non_null in
+  if n = 0 then ([], 0.0)
+  else begin
+    let counts = Hashtbl.create 256 in
+    List.iter
+      (fun v ->
+        Hashtbl.replace counts v
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
+      non_null;
+    let all = Hashtbl.fold (fun v c acc -> (v, c) :: acc) counts [] in
+    let frequent = List.filter (fun (_, c) -> c >= 2) all in
+    let sorted =
+      List.sort
+        (fun (v1, c1) (v2, c2) ->
+          match Int.compare c2 c1 with 0 -> Value.compare v1 v2 | d -> d)
+        frequent
+    in
+    let top = List.filteri (fun i _ -> i < slots) sorted in
+    let nf = float_of_int n in
+    let entries = List.map (fun (v, c) -> (v, float_of_int c /. nf)) top in
+    (entries, List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries)
+  end
+
+let reference_bounds ~buckets values =
+  let n = Array.length values in
+  if n = 0 then None
+  else begin
+    let sorted = Array.copy values in
+    Array.sort Int.compare sorted;
+    let nb = Int.min buckets n in
+    Some (Array.init (nb + 1) (fun i -> sorted.(i * (n - 1) / nb)))
+  end
+
+let reference_column ~buckets ~mcv_slots tbl c =
+  let n = Table.nrows tbl in
+  match Table.column tbl c with
+  | Column.Ints cells ->
+    let non_null = List.filter (fun v -> v <> Column.null_int) (Array.to_list cells) in
+    let non_null_arr = Array.of_list non_null in
+    let distinct = Hashtbl.create 1024 in
+    Array.iter (fun v -> Hashtbl.replace distinct v ()) non_null_arr;
+    let min_val = ref None and max_val = ref None in
+    Array.iter
+      (fun v ->
+        (match !min_val with Some m when m <= v -> () | _ -> min_val := Some v);
+        (match !max_val with Some m when m >= v -> () | _ -> max_val := Some v))
+      non_null_arr;
+    let mcv, total =
+      reference_mcv ~slots:mcv_slots (List.map (fun v -> Value.Int v) non_null)
+    in
+    {
+      r_rows = n;
+      r_null_frac =
+        (if n = 0 then 0.0
+         else float_of_int (n - Array.length non_null_arr) /. float_of_int n);
+      r_distinct = Int.max 1 (Hashtbl.length distinct);
+      r_min = !min_val;
+      r_max = !max_val;
+      r_mcv = mcv;
+      r_mcv_total = total;
+      r_bounds = reference_bounds ~buckets non_null_arr;
+    }
+  | Column.Strs cells ->
+    let distinct = Hashtbl.create 1024 in
+    Array.iter (fun v -> Hashtbl.replace distinct v ()) cells;
+    let mcv, total =
+      reference_mcv ~slots:mcv_slots
+        (Array.to_list (Array.map (fun s -> Value.Str s) cells))
+    in
+    {
+      r_rows = n;
+      r_null_frac = 0.0;
+      r_distinct = Int.max 1 (Hashtbl.length distinct);
+      r_min = None;
+      r_max = None;
+      r_mcv = mcv;
+      r_mcv_total = total;
+      r_bounds = None;
+    }
+
+(* Structural equality, floats compared bit for bit. *)
+let matches_reference ~buckets ~mcv_slots tbl c =
+  let s = Analyze.column ~buckets ~mcv_slots tbl c in
+  let r = reference_column ~buckets ~mcv_slots tbl c in
+  s.Col_stats.row_count = r.r_rows
+  && Float.equal s.Col_stats.null_frac r.r_null_frac
+  && s.Col_stats.n_distinct = r.r_distinct
+  && s.Col_stats.min_val = r.r_min
+  && s.Col_stats.max_val = r.r_max
+  && List.equal
+       (fun (v1, f1) (v2, f2) -> Value.equal v1 v2 && Float.equal f1 f2)
+       (Mcv.entries s.Col_stats.mcv) r.r_mcv
+  && Float.equal (Mcv.total_fraction s.Col_stats.mcv) r.r_mcv_total
+  && Option.map Histogram.bounds s.Col_stats.hist = r.r_bounds
+
+(* Columns built from (value, multiplicity) runs, shuffled: multiplicities
+   of 1-3 over a small alphabet put ties at every MCV slot cut-off. *)
+let column_gen value_gen =
+  QCheck.Gen.(
+    map
+      (fun (runs, seed) ->
+        let cells =
+          Array.of_list
+            (List.concat_map (fun (v, k) -> List.init k (fun _ -> v)) runs)
+        in
+        let prng = Random.State.make [| seed |] in
+        for i = Array.length cells - 1 downto 1 do
+          let j = Random.State.int prng (i + 1) in
+          let tmp = cells.(i) in
+          cells.(i) <- cells.(j);
+          cells.(j) <- tmp
+        done;
+        cells)
+      (pair (list_size (int_range 0 30) (pair value_gen (int_range 1 3))) nat))
+
+let single_column_table ty col =
+  Table.create ~name:"g" ~schema:(Schema.make [ { Schema.name = "c"; ty } ])
+    [| col |]
+
+let analyze_shapes = [ (100, 100); (4, 3); (1, 1); (7, 2) ]
+
+let prop_analyze_ints_match_reference =
+  QCheck.Test.make ~name:"ANALYZE ints = reference" ~count:300
+    (QCheck.make
+       ~print:(fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+       (column_gen
+          QCheck.Gen.(
+            frequency [ (1, return Column.null_int); (6, int_range (-6) 6) ])))
+    (fun cells ->
+      let tbl = single_column_table Value.Ty_int (Column.Ints cells) in
+      List.for_all
+        (fun (buckets, mcv_slots) -> matches_reference ~buckets ~mcv_slots tbl 0)
+        analyze_shapes)
+
+let prop_analyze_strs_match_reference =
+  QCheck.Test.make ~name:"ANALYZE strings = reference" ~count:300
+    (QCheck.make
+       ~print:(fun a -> String.concat "," (Array.to_list (Array.map String.escaped a)))
+       (column_gen QCheck.Gen.(oneofl [ ""; "a"; "b"; "ab"; "b "; "z" ])))
+    (fun cells ->
+      let tbl = single_column_table Value.Ty_str (Column.Strs cells) in
+      List.for_all
+        (fun (buckets, mcv_slots) -> matches_reference ~buckets ~mcv_slots tbl 0)
+        analyze_shapes)
+
+let test_analyze_imdb_matches_reference () =
+  let catalog = Rdb_imdb.Imdb_gen.generate ~scale:0.02 () in
+  List.iter
+    (fun tbl ->
+      for c = 0 to Schema.arity (Table.schema tbl) - 1 do
+        check Alcotest.bool
+          (Printf.sprintf "%s column %d" (Table.name tbl) c)
+          true
+          (matches_reference ~buckets:100 ~mcv_slots:100 tbl c)
+      done)
+    (Catalog.tables catalog)
+
 let () =
   Alcotest.run "rdb_stats"
     [
@@ -294,5 +470,9 @@ let () =
           Alcotest.test_case "string column" `Quick test_analyze_string_column;
           Alcotest.test_case "db stats roundtrip" `Quick test_db_stats_roundtrip;
           Alcotest.test_case "trivial fallback" `Quick test_trivial_stats;
+          qtest prop_analyze_ints_match_reference;
+          qtest prop_analyze_strs_match_reference;
+          Alcotest.test_case "IMDB tables match reference" `Quick
+            test_analyze_imdb_matches_reference;
         ] );
     ]
