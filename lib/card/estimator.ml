@@ -22,7 +22,12 @@ type t = {
   bound : (Relset.t -> float -> float) option;
       (* sound-interval clamp (the verifier's "pessimistic" mode): applied
          to every memoized estimate before the 1-row floor *)
-  memo : (Relset.t, float) Hashtbl.t;
+  memo : float Relset.Tbl.t;
+  edge_sels : float array;
+      (* by oriented edge id (see [Join_graph.crossing_edge]): the edge's
+         selectivity, memoized; nan until first needed *)
+  edge_implied : bool array;
+      (* by oriented edge id: its [l] column is pinned to a constant *)
   implied : (Query.colref, Value.t) Hashtbl.t;
       (* equality constants propagated through join equivalence classes,
          as PostgreSQL's equivalence-class machinery does: a predicate
@@ -76,17 +81,24 @@ let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
    | (Perfect _ | Perfect_all), None ->
      invalid_arg "Estimator.create: perfect modes require an oracle"
    | _ -> ());
+  let graph = Join_graph.make q in
+  let n_oriented = 2 * Join_graph.n_edges graph in
+  let implied = compute_implied q in
   {
     mode;
     q;
-    graph = Join_graph.make q;
+    graph;
     catalog;
     stats;
     oracle;
     log;
     bound;
-    memo = Hashtbl.create 64;
-    implied = compute_implied q;
+    memo = Relset.Tbl.create 64;
+    edge_sels = Array.make n_oriented Float.nan;
+    edge_implied =
+      Array.init n_oriented (fun k ->
+          Hashtbl.mem implied (Join_graph.oriented_edge graph k).Query.l);
+    implied;
   }
 
 let mode t = t.mode
@@ -153,10 +165,23 @@ let base_default t rel =
   let rows = float_of_int (Table.nrows table) in
   Float.max 1.0 (rows *. combined_selectivity t rel stats_preds)
 
-let edge_selectivity t { Query.l; r } =
-  Join_sel.eq_join
-    (col_stats t l.Query.rel l.Query.col)
-    (col_stats t r.Query.rel r.Query.col)
+(* Selectivity of oriented edge [k], computed once per estimator: the
+   PostgreSQL port's float sums depend on the orientation, so each
+   orientation has its own slot. *)
+let edge_selectivity t k =
+  let v = t.edge_sels.(k) in
+  if not (Float.is_nan v) then v
+  else begin
+    let { Query.l; r } = Join_graph.oriented_edge t.graph k in
+    Rdb_obs.Metrics.incr "est.edge_sels";
+    let v =
+      Join_sel.eq_join
+        (col_stats t l.Query.rel l.Query.col)
+        (col_stats t r.Query.rel r.Query.col)
+    in
+    t.edge_sels.(k) <- v;
+    v
+  end
 
 let oracle_exn t =
   match t.oracle with
@@ -167,13 +192,13 @@ let oracle_exn t =
    independent per-edge selectivities, so perfect sub-estimates propagate
    upward exactly as the paper's perfect-(n) does. *)
 let rec card t s =
-  match Hashtbl.find_opt t.memo s with
+  match Relset.Tbl.find_opt t.memo s with
   | Some v -> v
   | None ->
     let v = compute t s in
     let v = match t.bound with Some f -> f s v | None -> v in
     let v = Float.max 1.0 v in
-    Hashtbl.replace t.memo s v;
+    Relset.Tbl.replace t.memo s v;
     (match t.log with
      | Some log -> Estimate_log.record log ~size:(Relset.cardinal s)
      | None -> ());
@@ -201,16 +226,17 @@ and compute_default t s =
   else begin
     let r = Join_graph.removable t.graph s in
     let rest = Relset.remove r s in
-    let connecting = Query.edges_between t.q rest (Relset.singleton r) in
-    let sel =
-      List.fold_left
-        (fun acc e ->
-          (* A join clause whose equivalence class is pinned to a constant
-             is implied by the base restrictions on both sides. *)
-          if Hashtbl.mem t.implied e.Query.l then acc
-          else acc *. edge_selectivity t e)
-        1.0 connecting
-    in
+    let r_set = Relset.singleton r in
+    (* the edges from [rest] to [r], in [Query.edges_between] order *)
+    let sel = ref 1.0 in
+    for i = 0 to Join_graph.n_edges t.graph - 1 do
+      let k = Join_graph.crossing_edge t.graph i rest r_set in
+      (* A join clause whose equivalence class is pinned to a constant is
+         implied by the base restrictions on both sides. *)
+      if k >= 0 && not t.edge_implied.(k) then
+        sel := !sel *. edge_selectivity t k
+    done;
+    let sel = !sel in
     card t rest *. card t (Relset.singleton r) *. sel
   end
 

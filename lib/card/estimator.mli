@@ -2,7 +2,9 @@
     PostgreSQL. One estimator serves one query; estimates are cached per
     relation subset, so each subset is estimated exactly once regardless of
     how many plans the enumerator considers (as in PostgreSQL's
-    [PlannerInfo]).
+    [PlannerInfo]). Join-edge selectivities are likewise computed once per
+    edge and orientation; the counter [est.edge_sels] counts those
+    computations.
 
     Modes:
     - [Default]: statistics + uniformity/independence assumptions.
@@ -64,10 +66,6 @@ val card : t -> Relset.t -> float
 
 val base_card : t -> int -> float
 (** Estimated cardinality of one relation after its predicates. *)
-
-val edge_selectivity : t -> Query.edge -> float
-(** Estimated selectivity of a single join edge (from base-column
-    statistics). *)
 
 val pred_selectivity : t -> rel:int -> col:int -> Rdb_query.Predicate.t -> float
 (** Estimated selectivity of a single predicate; the optimizer uses this to

@@ -32,20 +32,8 @@ type inter = {
   inter_rows : int;
 }
 
-(* Message maps are keyed by join-key values: surrogate ids, hashed by a
-   multiplicative mix rather than the polymorphic [Hashtbl.hash]. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash x =
-    let h = x * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 29)
-end)
-
 (* message maps: join-key value -> number of consistent join tuples *)
-type msg_map = float Int_tbl.t
+type msg_map = Count_table.t
 
 type t = {
   catalog : Catalog.t;
@@ -250,24 +238,24 @@ let product_maps maps =
   | _ ->
     let sorted =
       List.sort
-        (fun a b -> Int.compare (Int_tbl.length a) (Int_tbl.length b))
+        (fun a b -> Int.compare (Count_table.length a) (Count_table.length b))
         maps
     in
     (match sorted with
      | smallest :: rest ->
-       let out : msg_map = Int_tbl.create (Int_tbl.length smallest) in
-       Int_tbl.iter
+       let out = Count_table.create (Count_table.length smallest) in
+       Count_table.iter
          (fun v w ->
            let acc = ref w in
            let alive =
              List.for_all
                (fun m ->
-                 match Int_tbl.find_opt m v with
-                 | Some w' -> acc := !acc *. w'; true
-                 | None -> false)
+                 let w' = Count_table.find m v in
+                 acc := !acc *. w';
+                 w' > 0.0)
                rest
            in
-           if alive then Int_tbl.replace out v !acc)
+           if alive then Count_table.add out v !acc)
          smallest;
        Some out
      | [] -> None)
@@ -288,7 +276,7 @@ let rec msg_set t b ~cls =
     let m =
       match product_maps maps with
       | Some m -> m
-      | None -> Int_tbl.create 1
+      | None -> Count_table.create 0
     in
     Hashtbl.replace t.msg_set_memo (b, cls) m;
     m
@@ -311,12 +299,8 @@ and msg_single t comp ~cls =
       | Some col -> int_cells t hub col
       | None -> assert false
     in
-    let m : msg_map = Int_tbl.create 1024 in
-    scan t hub (Relset.remove hub comp) (fun row w ->
-        let v = out.(row) in
-        if v <> Column.null_int then
-          Int_tbl.replace m v
-            (w +. Option.value ~default:0.0 (Int_tbl.find_opt m v)));
+    let m = Count_table.create 16 in
+    ignore (scan t hub (Relset.remove hub comp) ~into:(Some (out, m)));
     Hashtbl.replace t.msg_single_memo (comp, cls) m;
     m
 
@@ -324,8 +308,11 @@ and msg_single t comp ~cls =
    the messages [rest] (the rest of a connected set containing [hub]) sends
    in; rows a message does not cover drop out. Each branch of [rest] hangs
    on exactly one hub port class: touching two would close a cycle in the
-   class tree, and two branches on one class would be a single component. *)
-and scan t hub rest f =
+   class tree, and two branches on one class would be a single component.
+   Returns the total weight, summed in row order; [into] = [(cells, m)]
+   also adds each surviving row's weight to [m] under its non-NULL value
+   in [cells]. *)
+and scan t hub rest ~into =
   let constrained =
     Array.of_list
       (List.map
@@ -340,21 +327,34 @@ and scan t hub rest f =
   let rows = filtered_rowids t hub in
   Metrics.incr ~by:(Array.length rows) "oracle.rows";
   let k = Array.length constrained in
-  Array.iter
-    (fun row ->
-      let w = ref 1.0 and i = ref 0 in
-      while !i < k do
-        let cells, map = constrained.(!i) in
-        let key = cells.(row) in
-        match
-          if key = Column.null_int then None else Int_tbl.find_opt map key
-        with
-        | Some w' -> w := !w *. w'; incr i
-        | None -> w := 0.0; i := k
-      done;
-      (* message weights are counts >= 1, so 0 marks a dropped row *)
-      if !w > 0.0 then f row !w)
-    rows
+  let total = ref 0.0 in
+  for j = 0 to Array.length rows - 1 do
+    let row = rows.(j) in
+    let w = ref 1.0 and i = ref 0 in
+    while !i < k do
+      let cells, map = constrained.(!i) in
+      (* message weights are counts >= 1, so 0 marks a dropped row (a NULL
+         or unmatched key) *)
+      let w' = Count_table.find map cells.(row) in
+      if w' > 0.0 then begin
+        w := !w *. w';
+        incr i
+      end
+      else begin
+        w := 0.0;
+        i := k
+      end
+    done;
+    if !w > 0.0 then begin
+      total := !total +. !w;
+      match into with
+      | Some (out, m) ->
+        let v = out.(row) in
+        if v <> Column.null_int then Count_table.add m v !w
+      | None -> ()
+    end
+  done;
+  !total
 
 (* Cardinality via the tree engine: anchor at the member of [s] nearest the
    fixed root (ties to the lower index), so every message points away from
@@ -366,10 +366,7 @@ let card_tree t s =
         if best < 0 || t.root_dist.(i) < t.root_dist.(best) then i else best)
       s (-1)
   in
-  let total = ref 0.0 in
-  scan t anchor (Relset.remove anchor s) (fun _ w ->
-      total := !total +. w);
-  !total
+  scan t anchor (Relset.remove anchor s) ~into:None
 
 (* ---- materialization engine (fallback for non-tree class graphs) ---- *)
 

@@ -10,7 +10,12 @@
     join-attribute class tree, with no intermediate materialized. A count
     anchors at the set's member nearest a fixed root (relation 0), so every
     message points away from the root and the memoized messages are reused
-    across a plan's nested node sets. Queries whose class graph is cyclic
+    across a plan's nested node sets. A message is a {!Count_table}: join-key
+    value -> count, open addressing over an [int array] of keys and a
+    [Float.Array] of counts, so the kernel's per-row probes allocate
+    nothing. An absent key reads as [0.0], which is also the kernel's mark
+    for a dropped row; counts accumulate in row order, so every count is
+    the same float a boxed hash table gave. Queries whose class graph is cyclic
     fall back to materializing sub-joins bottom-up, projected onto their
     "boundary" join columns. Cardinalities are cached for the oracle's
     lifetime; [Reopt.run] keeps the original query's oracle for every step

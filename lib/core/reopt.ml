@@ -307,9 +307,7 @@ let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
       let temp_name = Session.fresh_temp_name session in
       temp_names := temp_name :: !temp_names;
       let schema = temp_schema session q temp_cols in
-      let table =
-        Table.of_rows ~name:temp_name ~schema mat.Executor.mat_rows
-      in
+      let table = Table.create ~name:temp_name ~schema mat.Executor.mat_cols in
       (* registered in temp_names just above, so the outer match drops it:
          @cleanup_ok cleanup_temps runs on both exits of [run] below *)
       Catalog.add_table (Session.catalog session) table;

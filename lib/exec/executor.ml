@@ -551,7 +551,7 @@ let execute ?work_budget ?deadline_ms ?adaptive ~catalog ~query plan =
   }
 
 type materialization = {
-  mat_rows : Value.t array list;
+  mat_cols : Column.t array;
   mat_work : int;
   mat_peak_rows : int;
   mat_elapsed_ms : float;
@@ -563,21 +563,16 @@ let materialize ?work_budget ?deadline_ms ~catalog ~query ~cols plan =
   (* The projected temp-table rows are resident alongside the final
      intermediate while they are built: one slot per projected cell. *)
   alloc ctx (inter.nrows * List.length cols);
-  let sources =
-    Array.of_list
-      (List.map (fun (cr : Query.colref) -> (pos_of_rel inter cr.Query.rel, cr.Query.col)) cols)
+  let project (cr : Query.colref) =
+    let pos = pos_of_rel inter cr.Query.rel in
+    let rowid i = inter.data.((i * inter.width) + pos) in
+    match Table.column ctx.tables.(cr.Query.rel) cr.Query.col with
+    | Column.Ints cells ->
+      Column.Ints (Array.init inter.nrows (fun i -> cells.(rowid i)))
+    | Column.Strs cells ->
+      Column.Strs (Array.init inter.nrows (fun i -> cells.(rowid i)))
   in
-  let rows = ref [] in
-  for i = inter.nrows - 1 downto 0 do
-    let row =
-      Array.map
-        (fun (pos, col) ->
-          let rowid = inter.data.((i * inter.width) + pos) in
-          Table.value ctx.tables.(inter.rels.(pos)) ~row:rowid ~col)
-        sources
-    in
-    rows := row :: !rows
-  done;
+  let mat_cols = Array.of_list (List.map project cols) in
   Metrics.incr ~by:ctx.work "exec.work";
-  { mat_rows = !rows; mat_work = ctx.work; mat_peak_rows = ctx.peak;
+  { mat_cols; mat_work = ctx.work; mat_peak_rows = ctx.peak;
     mat_elapsed_ms = elapsed_ms ctx }

@@ -62,7 +62,9 @@ val execute :
     the paper contrasts with re-optimization. *)
 
 type materialization = {
-  mat_rows : Value.t array list;  (** row-major projection *)
+  mat_cols : Column.t array;
+      (** the projection, one column per requested reference, in order;
+          NULL cells as in the source columns *)
   mat_work : int;
   mat_peak_rows : int;  (** as {!result.peak_rows}, including the projected
                             cells built alongside the final intermediate *)

@@ -12,7 +12,9 @@
     [exec.work], [exec.switches], [exec.budget_aborts] and
     [exec.deadline_aborts] from the executor; [reopt.steps] and
     [reopt.temp_rows] from the re-optimization loop; [oracle.cards] and
-    [oracle.rows] from the true-cardinality oracle. *)
+    [oracle.rows] from the true-cardinality oracle; [est.edge_sels] from
+    the estimator, one per join-edge selectivity it computes (each edge at
+    most once per orientation and estimator). *)
 
 type stat = { count : int; sum : float; min : float; max : float }
 

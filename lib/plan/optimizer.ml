@@ -11,7 +11,7 @@ type stats = {
   plan_ms : float;
 }
 
-let now_ms () = Sys.time () *. 1000.0
+let now_ms () = Unix.gettimeofday () *. 1000.0
 
 type lint_hook =
   catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t -> unit
@@ -129,55 +129,100 @@ let scan_plan ~cp ~catalog ~estimator (q : Query.t) rel =
   let access, cost = !best in
   Plan.Scan { Plan.scan_rel = rel; access; scan_est = est; scan_cost = cost }
 
+(* Per-query lookups the DP loops read instead of walking the query and
+   the catalog: the join graph's oriented edges, whether an oriented edge's
+   inner ([r]) column carries an index, and each relation's predicate
+   count. *)
+type ctx = {
+  graph : Join_graph.t;
+  inner_indexed : bool array;  (* by oriented edge id *)
+  npreds : int array;
+}
+
+let context ~catalog graph (q : Query.t) =
+  {
+    graph;
+    inner_indexed =
+      Array.init
+        (2 * Join_graph.n_edges graph)
+        (fun k ->
+          let r = (Join_graph.oriented_edge graph k).Query.r in
+          let table = q.Query.rels.(r.Query.rel).Query.table in
+          Catalog.index catalog ~table ~col:r.Query.col <> None);
+    npreds =
+      Array.init (Query.n_rels q) (fun rel ->
+          List.length (Query.preds_of_cols q rel));
+  }
+
+(* [Query.edges_between q so si], from the preallocated records. *)
+let edges_between cx so si =
+  let acc = ref [] in
+  for i = Join_graph.n_edges cx.graph - 1 downto 0 do
+    let k = Join_graph.crossing_edge cx.graph i so si in
+    if k >= 0 then acc := Join_graph.oriented_edge cx.graph k :: !acc
+  done;
+  !acc
+
 (* Index-nested-loop applies when the inner side is a single base relation
-   with a hash index on one of the connecting join columns. *)
-let inl_inner_col ~catalog (q : Query.t) inner_plan edges =
-  match inner_plan with
+   with a hash index on one of the connecting join columns: the first such
+   column in edge order, with the number of connecting edges. *)
+let inl_inner_col cx so inner =
+  match inner with
   | Plan.Scan { Plan.scan_rel; _ } ->
-    let table_name = q.Query.rels.(scan_rel).Query.table in
-    List.find_map
-      (fun e ->
-        let col = e.Query.r.Query.col in
-        match Catalog.index catalog ~table:table_name ~col with
-        | Some _ -> Some col
-        | None -> None)
-      edges
+    let si = Relset.singleton scan_rel in
+    let col = ref (-1) and n_edges = ref 0 in
+    for i = 0 to Join_graph.n_edges cx.graph - 1 do
+      let k = Join_graph.crossing_edge cx.graph i so si in
+      if k >= 0 then begin
+        incr n_edges;
+        if !col < 0 && cx.inner_indexed.(k) then
+          col := (Join_graph.oriented_edge cx.graph k).Query.r.Query.col
+      end
+    done;
+    if !col < 0 then None else Some (!col, !n_edges, scan_rel)
   | Plan.Join _ -> None
 
-let join_candidates ~cp ~catalog (q : Query.t) ~outer ~inner ~edges ~est =
+(* Offer [outer ⋈ inner] over [so ∪ si] to the DP table, candidates in a
+   fixed order (hash, nested loop, merge, index nested loop), each kept
+   only when strictly cheaper than the current best. The edge list is
+   built only once a candidate wins. *)
+let consider ~cp cx best su ~est ~outer ~inner ~so ~si =
   let outer_rows = Plan.est_rows outer and inner_rows = Plan.est_rows inner in
   let outer_cost = Plan.cost outer and inner_cost = Plan.cost inner in
-  let hash =
-    ( Plan.Hash_join,
-      outer_cost +. inner_cost
-      +. Cost_model.hash_join cp ~build:inner_rows ~probe:outer_rows ~out:est )
+  let edges = lazy (edges_between cx so si) in
+  let offer algo cost =
+    let better =
+      match Relset.Tbl.find_opt best su with
+      | Some current -> cost < Plan.cost current
+      | None -> true
+    in
+    if better then
+      Relset.Tbl.replace best su
+        (Plan.Join
+           {
+             Plan.algo;
+             outer;
+             inner;
+             join_est = est;
+             join_cost = cost;
+             join_edges = Lazy.force edges;
+           })
   in
-  let nl =
-    ( Plan.Nested_loop,
-      outer_cost +. inner_cost
-      +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out:est )
-  in
-  let merge =
-    ( Plan.Merge_join,
-      outer_cost +. inner_cost
-      +. Cost_model.merge_join cp ~outer:outer_rows ~inner:inner_rows ~out:est )
-  in
-  let inl =
-    match inl_inner_col ~catalog q inner edges with
-    | Some inner_col ->
-      let inner_rel =
-        match inner with
-        | Plan.Scan s -> s.Plan.scan_rel
-        | Plan.Join _ -> assert false
-      in
-      let npreds =
-        List.length (Query.preds_of q inner_rel) + List.length edges - 1
-      in
-      [ ( Plan.Index_nl { inner_col },
-          outer_cost +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out:est ~npreds ) ]
-    | None -> []
-  in
-  hash :: nl :: merge :: inl
+  offer Plan.Hash_join
+    (outer_cost +. inner_cost
+     +. Cost_model.hash_join cp ~build:inner_rows ~probe:outer_rows ~out:est);
+  offer Plan.Nested_loop
+    (outer_cost +. inner_cost
+     +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out:est);
+  offer Plan.Merge_join
+    (outer_cost +. inner_cost
+     +. Cost_model.merge_join cp ~outer:outer_rows ~inner:inner_rows ~out:est);
+  match inl_inner_col cx so inner with
+  | Some (inner_col, n_edges, inner_rel) ->
+    let npreds = cx.npreds.(inner_rel) + n_edges - 1 in
+    offer (Plan.Index_nl { inner_col })
+      (outer_cost +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out:est ~npreds)
+  | None -> ()
 
 let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query.t) =
   let cp = cost_params in
@@ -188,44 +233,20 @@ let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query
     match space with Some s -> s | None -> Search_space.build graph
   in
   let start = now_ms () in
-  let best : (Relset.t, Plan.t) Hashtbl.t = Hashtbl.create 256 in
+  let cx = context ~catalog graph q in
+  let best : Plan.t Relset.Tbl.t = Relset.Tbl.create 256 in
   for rel = 0 to n - 1 do
-    Hashtbl.replace best (Relset.singleton rel)
+    Relset.Tbl.replace best (Relset.singleton rel)
       (scan_plan ~cp ~catalog ~estimator q rel)
   done;
   let pairs = ref 0 in
   Search_space.iter space (fun s1 s2 ->
       incr pairs;
       let su = Relset.union s1 s2 in
-      let p1 = Hashtbl.find best s1 and p2 = Hashtbl.find best s2 in
+      let p1 = Relset.Tbl.find best s1 and p2 = Relset.Tbl.find best s2 in
       let est = Estimator.card estimator su in
-      let consider ~outer ~inner ~edges =
-        List.iter
-          (fun (algo, cost) ->
-            let better =
-              match Hashtbl.find_opt best su with
-              | Some current -> cost < Plan.cost current
-              | None -> true
-            in
-            if better then
-              Hashtbl.replace best su
-                (Plan.Join
-                   {
-                     Plan.algo;
-                     outer;
-                     inner;
-                     join_est = est;
-                     join_cost = cost;
-                     join_edges = edges;
-                   }))
-          (join_candidates ~cp ~catalog q ~outer ~inner ~edges ~est)
-      in
-      let edges12 = Query.edges_between q s1 s2 in
-      let edges21 =
-        List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12
-      in
-      consider ~outer:p1 ~inner:p2 ~edges:edges12;
-      consider ~outer:p2 ~inner:p1 ~edges:edges21);
+      consider ~cp cx best su ~est ~outer:p1 ~inner:p2 ~so:s1 ~si:s2;
+      consider ~cp cx best su ~est ~outer:p2 ~inner:p1 ~so:s2 ~si:s1);
   let elapsed = now_ms () -. start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
@@ -233,14 +254,14 @@ let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query
   ( best,
     {
       pairs_considered = !pairs;
-      subsets_planned = Hashtbl.length best;
+      subsets_planned = Relset.Tbl.length best;
       plan_ms = elapsed;
     } )
 
 let plan ?lint ?verify ?sensitivity ?resource ?space ?cost_params ~catalog
     ~estimator q =
   let best, stats = dp ?space ?cost_params ~catalog ~estimator q in
-  match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
+  match Relset.Tbl.find_opt best (Relset.full (Query.n_rels q)) with
   | Some p ->
     run_lint_hook ~lint ~catalog ~estimator q p;
     run_verify_hook ~verify ~catalog ~estimator q p;
@@ -264,16 +285,20 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
   let start = now_ms () in
   let gammas = [| 1.0 /. uncertainty; 1.0; uncertainty |] in
   let n_scen = Array.length gammas in
-  let scenario_est su i =
-    let k = Relset.cardinal su in
-    Float.max 1.0
-      (Estimator.card estimator su *. (gammas.(i) ** float_of_int (k - 1)))
+  (* per-scenario estimates of a subset; every subset reaching here has
+     been estimated already, so these are memo hits *)
+  let scenario_ests s =
+    let k = Relset.cardinal s in
+    Array.init n_scen (fun i ->
+        Float.max 1.0
+          (Estimator.card estimator s *. (gammas.(i) ** float_of_int (k - 1))))
   in
+  let cx = context ~catalog graph q in
   (* best plan per subset, with its per-scenario cost vector *)
-  let best : (Relset.t, Plan.t * float array) Hashtbl.t = Hashtbl.create 256 in
+  let best : (Plan.t * float array) Relset.Tbl.t = Relset.Tbl.create 256 in
   for rel = 0 to n - 1 do
     let p = scan_plan ~cp ~catalog ~estimator q rel in
-    Hashtbl.replace best (Relset.singleton rel)
+    Relset.Tbl.replace best (Relset.singleton rel)
       (p, Array.make n_scen (Plan.cost p))
   done;
   let worst costs = Array.fold_left Float.max neg_infinity costs in
@@ -281,71 +306,57 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
   Search_space.iter space (fun s1 s2 ->
       incr pairs;
       let su = Relset.union s1 s2 in
-      let p1, c1 = Hashtbl.find best s1 and p2, c2 = Hashtbl.find best s2 in
+      let p1, c1 = Relset.Tbl.find best s1 and p2, c2 = Relset.Tbl.find best s2 in
       let point_est = Estimator.card estimator su in
-      let consider ~outer ~inner ~outer_costs ~inner_costs ~o_set ~i_set ~edges =
-        let algo_cost i algo =
-          let o_rows = scenario_est o_set i and i_rows = scenario_est i_set i in
-          let out = scenario_est su i in
-          match algo with
-          | Plan.Hash_join ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.hash_join cp ~build:i_rows ~probe:o_rows ~out
-          | Plan.Nested_loop ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.nested_loop cp ~outer:o_rows ~inner:i_rows ~out
-          | Plan.Merge_join ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.merge_join cp ~outer:o_rows ~inner:i_rows ~out
-          | Plan.Index_nl _ ->
-            let inner_rel =
-              match inner with
-              | Plan.Scan s -> s.Plan.scan_rel
-              | Plan.Join _ -> assert false
-            in
-            let npreds =
-              List.length (Query.preds_of q inner_rel) + List.length edges - 1
-            in
-            outer_costs.(i)
-            +. Cost_model.index_nested_loop cp ~outer:o_rows ~out ~npreds
+      let est1 = scenario_ests s1 and est2 = scenario_ests s2 in
+      let out = scenario_ests su in
+      let consider ~outer ~inner ~outer_costs ~inner_costs ~o_rows ~i_rows ~so ~si =
+        let edges = lazy (edges_between cx so si) in
+        let offer algo algo_cost =
+          let costs = Array.init n_scen algo_cost in
+          let better =
+            match Relset.Tbl.find_opt best su with
+            | Some (_, current) -> worst costs < worst current
+            | None -> true
+          in
+          if better then
+            Relset.Tbl.replace best su
+              ( Plan.Join
+                  {
+                    Plan.algo;
+                    outer;
+                    inner;
+                    join_est = point_est;
+                    join_cost = costs.(1);
+                    join_edges = Lazy.force edges;
+                  },
+                costs )
         in
-        let algos =
-          Plan.Hash_join :: Plan.Nested_loop :: Plan.Merge_join
-          ::
-          (match inl_inner_col ~catalog q inner edges with
-           | Some inner_col -> [ Plan.Index_nl { inner_col } ]
-           | None -> [])
-        in
-        List.iter
-          (fun algo ->
-            let costs = Array.init n_scen (fun i -> algo_cost i algo) in
-            let better =
-              match Hashtbl.find_opt best su with
-              | Some (_, current) -> worst costs < worst current
-              | None -> true
-            in
-            if better then
-              Hashtbl.replace best su
-                ( Plan.Join
-                    {
-                      Plan.algo;
-                      outer;
-                      inner;
-                      join_est = point_est;
-                      join_cost = costs.(1);
-                      join_edges = edges;
-                    },
-                  costs ))
-          algos
+        offer Plan.Hash_join (fun i ->
+            outer_costs.(i) +. inner_costs.(i)
+            +. Cost_model.hash_join cp ~build:i_rows.(i) ~probe:o_rows.(i)
+                 ~out:out.(i));
+        offer Plan.Nested_loop (fun i ->
+            outer_costs.(i) +. inner_costs.(i)
+            +. Cost_model.nested_loop cp ~outer:o_rows.(i) ~inner:i_rows.(i)
+                 ~out:out.(i));
+        offer Plan.Merge_join (fun i ->
+            outer_costs.(i) +. inner_costs.(i)
+            +. Cost_model.merge_join cp ~outer:o_rows.(i) ~inner:i_rows.(i)
+                 ~out:out.(i));
+        match inl_inner_col cx so inner with
+        | Some (inner_col, n_edges, inner_rel) ->
+          let npreds = cx.npreds.(inner_rel) + n_edges - 1 in
+          offer (Plan.Index_nl { inner_col }) (fun i ->
+              outer_costs.(i)
+              +. Cost_model.index_nested_loop cp ~outer:o_rows.(i) ~out:out.(i)
+                   ~npreds)
+        | None -> ()
       in
-      let edges12 = Query.edges_between q s1 s2 in
-      let edges21 =
-        List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12
-      in
-      consider ~outer:p1 ~inner:p2 ~outer_costs:c1 ~inner_costs:c2 ~o_set:s1
-        ~i_set:s2 ~edges:edges12;
-      consider ~outer:p2 ~inner:p1 ~outer_costs:c2 ~inner_costs:c1 ~o_set:s2
-        ~i_set:s1 ~edges:edges21);
+      consider ~outer:p1 ~inner:p2 ~outer_costs:c1 ~inner_costs:c2 ~o_rows:est1
+        ~i_rows:est2 ~so:s1 ~si:s2;
+      consider ~outer:p2 ~inner:p1 ~outer_costs:c2 ~inner_costs:c1 ~o_rows:est2
+        ~i_rows:est1 ~so:s2 ~si:s1);
   let elapsed = now_ms () -. start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
@@ -353,7 +364,7 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
   ( best,
     {
       pairs_considered = !pairs;
-      subsets_planned = Hashtbl.length best;
+      subsets_planned = Relset.Tbl.length best;
       plan_ms = elapsed;
     } )
 
@@ -362,7 +373,7 @@ let plan_robust ?lint ?verify ?sensitivity ?resource ?space ?cost_params
   let best, stats =
     dp_robust ?space ?cost_params ~uncertainty ~catalog ~estimator q
   in
-  match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
+  match Relset.Tbl.find_opt best (Relset.full (Query.n_rels q)) with
   | Some (p, _) ->
     run_lint_hook ~lint ~catalog ~estimator q p;
     run_verify_hook ~verify ~catalog ~estimator q p;
@@ -373,4 +384,4 @@ let plan_robust ?lint ?verify ?sensitivity ?resource ?space ?cost_params
 
 let best_cost_of_sets ?space ?cost_params ~catalog ~estimator q =
   let best, _ = dp ?space ?cost_params ~catalog ~estimator q in
-  fun s -> Hashtbl.find_opt best s
+  fun s -> Relset.Tbl.find_opt best s

@@ -1,6 +1,12 @@
 module Relset = Rdb_util.Relset
 
-type t = { n : int; adj : Relset.t array }
+type t = {
+  n : int;
+  adj : Relset.t array;
+  edge_l : int array;  (* per edge of [q.edges]: bitmask of its [l] relation *)
+  edge_r : int array;
+  oriented : Query.edge array;  (* [2i]: edge [i] as stated; [2i+1]: reversed *)
+}
 
 let make (q : Query.t) =
   let n = Query.n_rels q in
@@ -12,9 +18,33 @@ let make (q : Query.t) =
         adj.(r.Query.rel) <- Relset.add l.Query.rel adj.(r.Query.rel)
       end)
     q.Query.edges;
-  { n; adj }
+  let edges = Array.of_list q.Query.edges in
+  let bit (cr : Query.colref) = (Relset.singleton cr.Query.rel :> int) in
+  {
+    n;
+    adj;
+    edge_l = Array.map (fun e -> bit e.Query.l) edges;
+    edge_r = Array.map (fun e -> bit e.Query.r) edges;
+    oriented =
+      Array.init
+        (2 * Array.length edges)
+        (fun k ->
+          let e = edges.(k / 2) in
+          if k mod 2 = 0 then e else { Query.l = e.Query.r; r = e.Query.l });
+  }
 
 let n t = t.n
+
+let n_edges t = Array.length t.edge_l
+
+let crossing_edge t i (s1 : Relset.t) (s2 : Relset.t) =
+  let s1 = (s1 :> int) and s2 = (s2 :> int) in
+  let l = t.edge_l.(i) and r = t.edge_r.(i) in
+  if l land s1 <> 0 && r land s2 <> 0 then 2 * i
+  else if r land s1 <> 0 && l land s2 <> 0 then (2 * i) + 1
+  else -1
+
+let oriented_edge t k = t.oriented.(k)
 
 let neighbors_of t i = t.adj.(i)
 

@@ -12,6 +12,20 @@ val make : Query.t -> t
 
 val n : t -> int
 
+val n_edges : t -> int
+(** Number of join edges, [List.length q.edges]. *)
+
+val crossing_edge : t -> int -> Relset.t -> Relset.t -> int
+(** [crossing_edge g i s1 s2] is the oriented id of the [i]th edge of
+    [q.edges] when it joins [s1] to [s2]: [2i] when its [l] end lies in
+    [s1] and its [r] end in [s2], [2i+1] when reversed, [-1] otherwise.
+    Over [i] ascending, the crossing edges are {!Query.edges_between}'s,
+    in its order, without walking the edge list. *)
+
+val oriented_edge : t -> int -> Query.edge
+(** The edge with the given oriented id, [l] on the [s1] side;
+    preallocated, so lookups allocate nothing. *)
+
 val neighbors_of : t -> int -> Relset.t
 (** Vertices adjacent to a single vertex. *)
 

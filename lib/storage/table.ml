@@ -29,14 +29,5 @@ let int_cell t ~row ~col = Column.get_int t.cols.(col) row
 
 let row t i = Array.init (Array.length t.cols) (fun c -> Column.get t.cols.(c) i)
 
-let of_rows ~name ~schema rows =
-  let arity = Schema.arity schema in
-  let cols =
-    Array.init arity (fun c ->
-        let ty = (Schema.column schema c).Schema.ty in
-        Column.of_values ty (List.map (fun r -> r.(c)) rows))
-  in
-  create ~name ~schema cols
-
 let pp_brief fmt t =
   Format.fprintf fmt "%s%a [%d rows]" t.name Schema.pp t.schema t.nrows

@@ -23,6 +23,18 @@ let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 let hash (s : t) = Hashtbl.hash s
 
+let of_int s = s
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+
+  let hash s =
+    let h = s * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
 let min_elt s =
   if s = 0 then invalid_arg "Relset.min_elt: empty set";
   (* Count trailing zeros via the isolated lowest bit. *)

@@ -24,6 +24,15 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val of_int : int -> t
+(** The set whose bitmask is the given int: the inverse of [(s :> int)],
+    for sets kept in unboxed int buffers. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by relation sets, hashed by a multiplicative mix of
+    the bitmask rather than the polymorphic [Hashtbl.hash]: the DP table
+    and the estimator's memo. *)
+
 val min_elt : t -> int
 (** Smallest member. Raises [Invalid_argument] on the empty set. *)
 

@@ -16,6 +16,42 @@ module Estimate_log = Rdb_card.Estimate_log
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
+(* ---- Oracle message tables ---- *)
+
+module Count_table = Rdb_card.Count_table
+
+let test_count_table () =
+  let t = Count_table.create 0 in
+  (* keys spread over the int range, nowhere near dense *)
+  let key i = (i * 7919) - 5_000_000 in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    Count_table.add t (key i) (float_of_int (i + 1))
+  done;
+  (* a second add accumulates onto the first *)
+  for i = 0 to n - 1 do
+    if i mod 3 = 0 then Count_table.add t (key i) 0.5
+  done;
+  check Alcotest.int "length after rehashes" n (Count_table.length t);
+  for i = 0 to n - 1 do
+    let expected = float_of_int (i + 1) +. if i mod 3 = 0 then 0.5 else 0.0 in
+    check (Alcotest.float 0.0) "count" expected (Count_table.find t (key i))
+  done;
+  List.iter
+    (fun k -> check (Alcotest.float 0.0) "absent" 0.0 (Count_table.find t k))
+    [ key n; key (-1); 1; max_int; Column.null_int ];
+  let seen = Hashtbl.create n in
+  Count_table.iter
+    (fun k w ->
+      if Hashtbl.mem seen k then Alcotest.failf "key %d visited twice" k;
+      Hashtbl.replace seen k ();
+      check (Alcotest.float 0.0) "iter count" (Count_table.find t k) w)
+    t;
+  check Alcotest.int "iter visits every key" n (Hashtbl.length seen);
+  Alcotest.check_raises "NULL key"
+    (Invalid_argument "Count_table.add: NULL key") (fun () ->
+      Count_table.add t Column.null_int 1.0)
+
 (* ---- Selectivity ---- *)
 
 let stats_of_ints ints =
@@ -308,6 +344,27 @@ let test_estimator_memoizes_and_logs () =
       check (Alcotest.float 1e-9) "memoized" v1 v2;
       check Alcotest.int "logged once" 1 (Estimate_log.count log ~size:2))
 
+(* Each join edge's selectivity is computed once per orientation, however
+   many subsets the estimator composes it into. *)
+let test_estimator_edge_sels_memoized () =
+  with_lab (fun catalog session ->
+      let q = Rdb_imdb.Job_queries.find catalog "33a" in
+      let est =
+        Estimator.create ~mode:Estimator.Default ~catalog
+          ~stats:(Rdb_core.Session.stats session) q
+      in
+      let before = Rdb_obs.Metrics.snapshot () in
+      let subsets = Join_graph.connected_subsets (Join_graph.make q) in
+      List.iter (fun s -> ignore (Estimator.card est s : float)) subsets;
+      let after = Rdb_obs.Metrics.snapshot () in
+      let sels =
+        Rdb_obs.Metrics.counter after "est.edge_sels"
+        - Rdb_obs.Metrics.counter before "est.edge_sels"
+      in
+      check Alcotest.bool "some edges estimated" true (sels > 0);
+      check Alcotest.bool "at most one per oriented edge" true
+        (sels <= 2 * List.length q.Query.edges))
+
 let test_estimator_requires_oracle_for_perfect () =
   with_lab (fun catalog session ->
       let q = Rdb_imdb.Job_queries.find catalog "6d" in
@@ -476,6 +533,7 @@ let () =
             test_oracle_fallback_on_cyclic_classes;
           Alcotest.test_case "rejects bad sets" `Quick test_oracle_rejects_bad_sets;
           Alcotest.test_case "base rows" `Quick test_oracle_base_rows;
+          Alcotest.test_case "count table" `Quick test_count_table;
         ] );
       ( "estimator",
         [
@@ -488,6 +546,8 @@ let () =
           Alcotest.test_case "perfect requires oracle" `Quick
             test_estimator_requires_oracle_for_perfect;
           qtest prop_estimator_cards_at_least_one;
+          Alcotest.test_case "edge selectivities memoized" `Quick
+            test_estimator_edge_sels_memoized;
         ] );
       ( "join_sample",
         [

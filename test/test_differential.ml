@@ -304,7 +304,7 @@ let check_rewrite catalog session q =
            cols)
     in
     Catalog.add_table catalog
-      (Table.of_rows ~name:temp_name ~schema mat.Executor.mat_rows);
+      (Table.create ~name:temp_name ~schema mat.Executor.mat_cols);
     let rewritten = Reopt.rewrite q ~set ~temp_name ~temp_cols:cols in
     (* The symbolic prover must agree with the oracle that the rewrite
        preserved the query — and it must prove it, not merely not-refute. *)

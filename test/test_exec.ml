@@ -216,12 +216,23 @@ let test_materialize () =
       ~cols:[ { Query.rel = 0; col = 0 }; { Query.rel = 1; col = 0 } ]
       (join Plan.Hash_join q)
   in
-  check Alcotest.int "two rows" 2 (List.length mat.Executor.mat_rows);
-  List.iter
-    (fun row ->
-      check Alcotest.int "width" 2 (Array.length row);
-      check Alcotest.bool "l.id is 1" true (Value.equal row.(0) (Value.Int 1)))
-    mat.Executor.mat_rows
+  check Alcotest.int "width" 2 (Array.length mat.Executor.mat_cols);
+  Array.iter
+    (fun col -> check Alcotest.int "two rows" 2 (Column.length col))
+    mat.Executor.mat_cols;
+  for row = 0 to 1 do
+    check Alcotest.bool "l.id is 1" true
+      (Value.equal (Column.get mat.Executor.mat_cols.(0) row) (Value.Int 1))
+  done;
+  (* a NULL cell stays the NULL sentinel of its column type *)
+  let cat = db_of [ (Column.null_int, 1) ] [ (7, 1) ] in
+  let mat =
+    Executor.materialize ~catalog:cat ~query:q
+      ~cols:[ { Query.rel = 0; col = 0 } ]
+      (join Plan.Hash_join q)
+  in
+  check Alcotest.bool "NULL cell" true
+    (mat.Executor.mat_cols.(0) = Column.of_values Value.Ty_int [ Value.Null ])
 
 let test_deadline_checked_early () =
   (* Regression: the wall-clock deadline used to be consulted only every

@@ -139,6 +139,72 @@ let test_search_space_sorted () =
   check Alcotest.int "count matches" (Dpccp.count_pairs g)
     (Search_space.n_pairs space)
 
+(* The list + tuple-sort builder [Search_space.build] replaced, kept as
+   the reference for its pair order: the DP keeps the first of several
+   equal-cost plans, so the order within a size level decides plan shapes
+   at equal cost. *)
+let reference_pairs graph =
+  let acc = ref [] in
+  Dpccp.iter_pairs graph (fun s1 s2 -> acc := (s1, s2) :: !acc);
+  let pairs = Array.of_list !acc in
+  let key (s1, s2) = Relset.cardinal (Relset.union s1 s2) in
+  Array.sort (fun a b -> Int.compare (key a) (key b)) pairs;
+  Array.to_list pairs
+
+let space_pairs graph =
+  let acc = ref [] in
+  Search_space.iter (Search_space.build graph) (fun s1 s2 ->
+      acc := (s1, s2) :: !acc);
+  List.rev !acc
+
+let same_order_as_reference (q : Query.t) =
+  let g = Join_graph.make q in
+  space_pairs g = reference_pairs g
+
+let imdb_002 =
+  lazy
+    (let catalog = Rdb_imdb.Imdb_gen.generate ~scale:0.02 () in
+     let session = Rdb_core.Session.create catalog in
+     Rdb_core.Session.analyze session;
+     (catalog, session))
+
+let test_search_space_matches_reference () =
+  let catalog, session = Lazy.force imdb_002 in
+  let trigger = Rdb_core.Trigger.create 32.0 in
+  let rewritten = ref 0 in
+  List.iter
+    (fun (q : Query.t) ->
+      if not (same_order_as_reference q) then
+        Alcotest.failf "%s: pair order differs from the reference" q.Query.name;
+      let outcome =
+        Rdb_core.Reopt.run ~lint:false ~verify:false
+          (Rdb_core.Session.with_stats_of session)
+          ~trigger ~mode:Estimator.Default q
+      in
+      List.iter
+        (fun (step : Rdb_core.Reopt.step) ->
+          incr rewritten;
+          if not (same_order_as_reference step.Rdb_core.Reopt.query_after) then
+            Alcotest.failf "%s after %s: pair order differs from the reference"
+              q.Query.name step.Rdb_core.Reopt.temp_name)
+        outcome.Rdb_core.Reopt.steps)
+    (Rdb_imdb.Job_queries.all catalog);
+  check Alcotest.bool "re-opt pass rewrote queries" true (!rewritten > 0)
+
+let prop_search_space_random_graphs =
+  QCheck.Test.make ~count:200 ~name:"pair order = reference (random graphs)"
+    random_graph_query
+    (fun g -> same_order_as_reference (query_of_graph g))
+
+let prop_search_space_generated =
+  QCheck.Test.make ~count:200 ~name:"pair order = reference (Query_gen)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let catalog, _ = Lazy.force imdb_002 in
+      let g = Rdb_verify.Query_gen.create ~catalog in
+      same_order_as_reference
+        (Rdb_verify.Query_gen.gen g (Rdb_util.Prng.create (seed + 1)) ~name:"g"))
+
 (* ---- Optimizer on a concrete small database ---- *)
 
 let small_db () =
@@ -307,6 +373,94 @@ let test_best_cost_of_sets_exposes_dp () =
   check Alcotest.bool "full present" true (lookup (Relset.full 2) <> None);
   check Alcotest.bool "disconnected absent" true (lookup Relset.empty = None)
 
+(* ---- No plan drift ---- *)
+
+(* One line per JOB query and planning mode: the chosen plan's shape and
+   its cost in hex, so any change in plan choice or in a cost's last bit
+   shows. data/plans-s002.txt holds these lines as computed before the
+   search-space, DP, estimator and oracle loops were rewritten for speed;
+   a deliberate change of enumeration order or tie-break regenerates it. *)
+let plan_lines () =
+  let catalog = Rdb_imdb.Imdb_gen.generate ~scale:0.02 () in
+  let session = Rdb_core.Session.create catalog in
+  Rdb_core.Session.analyze session;
+  List.concat_map
+    (fun (q : Query.t) ->
+      let p = Rdb_core.Session.prepare session q in
+      let line label plan =
+        Printf.sprintf "%s %s %s %h" q.Query.name label (Plan.shape q plan)
+          (Plan.cost plan)
+      in
+      let planned mode =
+        let plan, _, _ = Rdb_core.Session.plan ~lint:false ~verify:false p ~mode in
+        plan
+      in
+      let robust =
+        let plan, _, _ =
+          Rdb_core.Session.plan_robust ~lint:false ~verify:false
+            ~uncertainty:4.0 p ~mode:Estimator.Default
+        in
+        plan
+      in
+      [
+        line "default" (planned Estimator.Default);
+        line "perfect-4" (planned (Estimator.Perfect 4));
+        line "perfect-all" (planned Estimator.Perfect_all);
+        line "robust-4" robust;
+      ])
+    (Rdb_imdb.Job_queries.all catalog)
+
+let test_plans_match_baseline () =
+  let path =
+    (* the runtest sandbox runs in test/, [dune exec] in the root *)
+    if Sys.file_exists "data/plans-s002.txt" then "data/plans-s002.txt"
+    else "test/data/plans-s002.txt"
+  in
+  let expected =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let got = plan_lines () @ [ "" ] in
+  check Alcotest.int "line count" (List.length expected) (List.length got);
+  List.iter2 (check Alcotest.string "plan line") expected got
+
+(* plan_ms is wall time: a second busy domain must not inflate it, as it
+   did when it was read from the process CPU clock. *)
+let test_plan_ms_is_wall_time () =
+  let catalog, session = Lazy.force imdb_002 in
+  let q = Rdb_imdb.Job_queries.find catalog "33a" in
+  check Alcotest.int "17 relations" 17 (Query.n_rels q);
+  let p = Rdb_core.Session.prepare session q in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        let spins = ref 0 in
+        while not (Atomic.get stop) do
+          incr spins
+        done;
+        !spins)
+  in
+  let plan_ms, wall_ms =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        ignore (Domain.join spinner : int))
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let t0 = Unix.gettimeofday () in
+        let _, stats, _ =
+          Rdb_core.Session.plan ~lint:false ~verify:false p
+            ~mode:Estimator.Default
+        in
+        (stats.Optimizer.plan_ms, (Unix.gettimeofday () -. t0) *. 1000.0))
+  in
+  if plan_ms > wall_ms +. 1.0 then
+    Alcotest.failf "plan_ms %.2f exceeds the measured wall time %.2f ms" plan_ms
+      wall_ms
+
 (* ---- Explain ---- *)
 
 let test_explain_renders () =
@@ -333,7 +487,13 @@ let () =
           qtest prop_dpccp_no_duplicates;
         ] );
       ( "search_space",
-        [ Alcotest.test_case "sorted by union size" `Quick test_search_space_sorted ] );
+        [
+          Alcotest.test_case "sorted by union size" `Quick test_search_space_sorted;
+          Alcotest.test_case "JOB and re-opt queries = reference" `Quick
+            test_search_space_matches_reference;
+          qtest prop_search_space_random_graphs;
+          qtest prop_search_space_generated;
+        ] );
       ( "optimizer",
         [
           Alcotest.test_case "covers all relations" `Quick
@@ -344,7 +504,10 @@ let () =
           Alcotest.test_case "optimal vs exhaustive" `Slow
             test_optimizer_optimal_vs_exhaustive;
           Alcotest.test_case "exposes DP table" `Quick test_best_cost_of_sets_exposes_dp;
+          Alcotest.test_case "plan_ms is wall time" `Quick test_plan_ms_is_wall_time;
         ] );
+      ( "drift",
+        [ Alcotest.test_case "plans = data/plans-s002.txt" `Quick test_plans_match_baseline ] );
       ( "explain",
         [ Alcotest.test_case "renders" `Quick test_explain_renders ] );
     ]

@@ -119,18 +119,6 @@ let test_table_ragged_rejected () =
         (Table.create ~name:"bad" ~schema
            [| Column.Ints [| 1 |]; Column.Ints [| 1; 2 |] |]))
 
-let test_table_of_rows_roundtrip () =
-  let t = mk_table () in
-  let rows = List.init 3 (Table.row t) in
-  let t2 = Table.of_rows ~name:"t2" ~schema:(Table.schema t) rows in
-  check Alcotest.int "same rows" (Table.nrows t) (Table.nrows t2);
-  for row = 0 to 2 do
-    for col = 0 to 1 do
-      check Alcotest.bool "cell equal" true
-        (Value.equal (Table.value t ~row ~col) (Table.value t2 ~row ~col))
-    done
-  done
-
 (* ---- Hash_index ---- *)
 
 let prop_hash_index_complete =
@@ -207,7 +195,6 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_table_accessors;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected;
-          Alcotest.test_case "of_rows roundtrip" `Quick test_table_of_rows_roundtrip;
         ] );
       ( "hash_index",
         [
